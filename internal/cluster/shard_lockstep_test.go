@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -59,16 +60,44 @@ func shardedClusterFingerprint(t *testing.T, seed int64, shards int, mode Mode) 
 	return b.String()
 }
 
+// goldenClusterFingerprints pins the SHA-256 of the serial churn×loss
+// fingerprint at fixed seeds, per mode. The bit-identity properties
+// only compare runs with each other, so a refactor that shifted every
+// churn run the same way at every shard count would pass them; these
+// hashes catch it.
+var goldenClusterFingerprints = map[Mode]map[int64]string{
+	Coded: {
+		7:  "6470df83fb6bf5a57141c9c6b53962d77839308af7517f1e88099cf8f7973307",
+		21: "9ed27efb88295dcc13ee7c460007f97c7128962a5b6c07753f5192f0c2b26f4a",
+	},
+	Forward: {
+		21: "c1696bb9e053effd4a370e3173fb7e8cc47bb106f36495ed4ec6f2708dac7bc7",
+		33: "ec8e96f252e48fa8364e12157621e1e9d9227f2ff02e367feb6a844f5a42b81c",
+	},
+}
+
+// checkClusterGolden fails the test unless the serial fingerprint of
+// seed in mode hashes to its pinned value.
+func checkClusterGolden(t *testing.T, seed int64, mode Mode, serial string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial))); got != goldenClusterFingerprints[mode][seed] {
+		t.Errorf("%v seed %d: fingerprint hash %s, golden %s:\n%s", mode, seed, got, goldenClusterFingerprints[mode][seed], serial)
+	}
+}
+
 // TestShardedLockstepBitIdentical is the quick.Check property from the
 // issue: for arbitrary seeds, the sharded engine at shards 4 and
 // GOMAXPROCS (and an uneven 3, which exercises ragged ranges) produces
 // byte-identical transcripts to the serial driver, with churn and loss
-// engaged.
+// engaged. The golden seeds run first and also pin the serial hash.
 func TestShardedLockstepBitIdentical(t *testing.T) {
 	counts := []int{3, 4, runtime.GOMAXPROCS(0)}
 	prop := func(rawSeed int64) bool {
 		seed := rawSeed%10000 + 1
 		serial := shardedClusterFingerprint(t, seed, 1, Coded)
+		if _, ok := goldenClusterFingerprints[Coded][seed]; ok {
+			checkClusterGolden(t, seed, Coded, serial)
+		}
 		for _, shards := range counts {
 			if sharded := shardedClusterFingerprint(t, seed, shards, Coded); sharded != serial {
 				t.Logf("seed %d shards %d diverges:\n--- serial ---\n%s--- shards=%d ---\n%s",
@@ -77,6 +106,11 @@ func TestShardedLockstepBitIdentical(t *testing.T) {
 			}
 		}
 		return true
+	}
+	for seed := range goldenClusterFingerprints[Coded] {
+		if !prop(seed - 1) {
+			t.Fatalf("golden seed %d diverges across shard counts", seed)
+		}
 	}
 	cfg := &quick.Config{MaxCount: 6}
 	if testing.Short() {
@@ -88,13 +122,16 @@ func TestShardedLockstepBitIdentical(t *testing.T) {
 }
 
 // TestShardedLockstepForwardMode covers the store-and-forward gossiper
-// at a fixed seed: sharding lives below the gossiper interface, so
+// at fixed seeds: sharding lives below the gossiper interface, so
 // both protocol disciplines must replay identically.
 func TestShardedLockstepForwardMode(t *testing.T) {
-	serial := shardedClusterFingerprint(t, 21, 1, Forward)
-	for _, shards := range []int{2, 5} {
-		if got := shardedClusterFingerprint(t, 21, shards, Forward); got != serial {
-			t.Fatalf("forward mode diverges at shards=%d", shards)
+	for seed := range goldenClusterFingerprints[Forward] {
+		serial := shardedClusterFingerprint(t, seed, 1, Forward)
+		checkClusterGolden(t, seed, Forward, serial)
+		for _, shards := range []int{2, 5} {
+			if got := shardedClusterFingerprint(t, seed, shards, Forward); got != serial {
+				t.Fatalf("forward mode seed %d diverges at shards=%d", seed, shards)
+			}
 		}
 	}
 }

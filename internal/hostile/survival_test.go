@@ -9,6 +9,7 @@ package hostile_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -166,11 +167,21 @@ func hostileClusterFingerprint(t *testing.T, seed int64, shards int) string {
 		c["events_adv_cut"], c["events_mutate"])
 }
 
+// goldenHostileFingerprints pins the SHA-256 of the serial hostile
+// fingerprint at fixed seeds: reproducibility and shard identity only
+// compare runs with each other, so these catch a change that shifts
+// every run the same way.
+var goldenHostileFingerprints = map[int64]string{
+	3:  "50b8394835cab250bb2020357bb39e2f7ed5dbe514be7e3588f5122bc36dee09",
+	17: "49369f966dad8e08cb013ac9fcf2b208d8551a839a180cad88f16d3928ca72a9",
+}
+
 // TestHostileLockstepBitReproducible is the determinism gate from the
 // issue: with every fault layer engaged, a lockstep run is a pure
 // function of the seed — same ticks, same packet counts, same cut and
 // mutation tallies — checked at two different seeds, which must also
-// disagree with each other (the layers actually draw from the seed).
+// disagree with each other (the layers actually draw from the seed)
+// and match their pinned hashes.
 func TestHostileLockstepBitReproducible(t *testing.T) {
 	seeds := []int64{3, 17}
 	prints := make(map[int64]string)
@@ -179,6 +190,9 @@ func TestHostileLockstepBitReproducible(t *testing.T) {
 		second := hostileClusterFingerprint(t, seed, 1)
 		if first != second {
 			t.Fatalf("seed %d not reproducible:\n  %s\n  %s", seed, first, second)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first))); got != goldenHostileFingerprints[seed] {
+			t.Errorf("seed %d: fingerprint hash %s, golden %s (%s)", seed, got, goldenHostileFingerprints[seed], first)
 		}
 		prints[seed] = first
 	}

@@ -6,6 +6,7 @@ package stream
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -72,15 +73,28 @@ func shardedStreamFingerprint(t *testing.T, seed int64, shards int) string {
 	return b.String()
 }
 
+// goldenStreamFingerprints pins the SHA-256 of the serial churn×loss
+// fingerprint at fixed seeds, so a change that shifts every run the
+// same way at every shard count still fails.
+var goldenStreamFingerprints = map[int64]string{
+	5:  "99f1cfb7090a621ccfdfe89858505f5b390e735e9442bf18b4846e2b3fd85e4c",
+	12: "6cb550efaa274a6d46f2f9269b037fc4a8f0f36a5bb2e7fe514b46e75e442048",
+}
+
 // TestShardedStreamBitIdentical is the quick.Check property for the
 // stream driver: arbitrary seeds, churn and loss engaged, sharded runs
 // byte-identical to serial at ragged (3), even (4) and host-width
-// shard counts.
+// shard counts. The golden seeds run first and also pin the serial hash.
 func TestShardedStreamBitIdentical(t *testing.T) {
 	counts := []int{3, 4, runtime.GOMAXPROCS(0)}
 	prop := func(rawSeed int64) bool {
 		seed := rawSeed%10000 + 1
 		serial := shardedStreamFingerprint(t, seed, 1)
+		if want, ok := goldenStreamFingerprints[seed]; ok {
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial))); got != want {
+				t.Errorf("seed %d: fingerprint hash %s, golden %s:\n%s", seed, got, want, serial)
+			}
+		}
 		for _, shards := range counts {
 			if sharded := shardedStreamFingerprint(t, seed, shards); sharded != serial {
 				t.Logf("seed %d shards %d diverges:\n--- serial ---\n%s\n--- shards=%d ---\n%s",
@@ -89,6 +103,11 @@ func TestShardedStreamBitIdentical(t *testing.T) {
 			}
 		}
 		return true
+	}
+	for seed := range goldenStreamFingerprints {
+		if !prop(seed - 1) {
+			t.Fatalf("golden seed %d diverges across shard counts", seed)
+		}
 	}
 	cfg := &quick.Config{MaxCount: 6}
 	if testing.Short() {
