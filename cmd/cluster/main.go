@@ -109,9 +109,14 @@ func run(w io.Writer, n, k, payload int, loss float64, fanout, shards int, modeN
 	if err != nil {
 		return err
 	}
+	cfg := cluster.Config{
+		N: n, Fanout: fanout, Mode: mode, Seed: seed,
+		Interval: interval, Timeout: timeout, Lockstep: lockstep, Shards: shards,
+		MaxTicks: maxTicks, Churn: sched,
+	}
 	maxN := n + sched.Joins()
 	if buffer == 0 {
-		buffer = 4 * maxN * (fanout + 1)
+		buffer = cfg.DefaultInbox()
 	}
 	tr, err := cliutil.BuildTransport(maxN, buffer, lockstep, delay, reorder, loss, seed)
 	if err != nil {
@@ -143,11 +148,8 @@ func run(w io.Writer, n, k, payload int, loss float64, fanout, shards int, modeN
 	toks := token.RandomSet(k, payload, rand.New(rand.NewSource(seed)))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := cluster.Run(ctx, cluster.Config{
-		N: n, Fanout: fanout, Mode: mode, Seed: seed, Transport: tr,
-		Interval: interval, Timeout: timeout, Lockstep: lockstep, Shards: shards,
-		MaxTicks: maxTicks, Churn: sched, Telemetry: rec,
-	}, toks)
+	cfg.Transport, cfg.Telemetry = tr, rec
+	res, err := cluster.Run(ctx, cfg, toks)
 	if err != nil {
 		return err
 	}

@@ -110,6 +110,19 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunLockstepLargeCompletes runs the sharded engine from the CLI
+// above cluster.LargeClusterNodes, where the automatic -buffer must use
+// the library's capped sizing: an O(n) slot count per node is O(n²)
+// channel memory in total and gets the process killed well before
+// the run starts.
+func TestRunLockstepLargeCompletes(t *testing.T) {
+	a := defaults()
+	a.n, a.k, a.shards = 5000, 4, 2
+	if err := a.run(nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunAdversarialLockstepCompletes drives the full adversarial
 // surface — adaptive topology, targeted crash with restart, hostile
 // packets — through the exact path main dispatches to.

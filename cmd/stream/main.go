@@ -113,9 +113,14 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 	if err != nil {
 		return err
 	}
+	cfg := stream.Config{
+		N: n, K: k, PayloadBits: payload, Window: window, Generations: gens, Fanout: fanout,
+		Seed: seed, Lockstep: lockstep, Shards: shards, MaxTicks: maxTicks,
+		Interval: interval, Timeout: timeout, Churn: sched,
+	}
 	maxN := n + sched.Joins()
 	if buffer == 0 {
-		buffer = 4 * stream.InboxBuffer(maxN, fanout+1)
+		buffer = cfg.DefaultInbox()
 	}
 	tr, err := cliutil.BuildTransport(maxN, buffer, lockstep, delay, reorder, loss, seed)
 	if err != nil {
@@ -147,11 +152,8 @@ func run(w io.Writer, n, k, payload, window, gens int, loss float64, fanout, sha
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := stream.Run(ctx, stream.Config{
-		N: n, K: k, PayloadBits: payload, Window: window, Generations: gens, Fanout: fanout,
-		Seed: seed, Transport: tr, Lockstep: lockstep, Shards: shards, MaxTicks: maxTicks,
-		Interval: interval, Timeout: timeout, Churn: sched, Telemetry: rec,
-	})
+	cfg.Transport, cfg.Telemetry = tr, rec
+	res, err := stream.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}

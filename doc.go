@@ -54,7 +54,7 @@
 // rlnc offers CombineInto/RandomCombinationInto writing into
 // caller-owned vectors, wire offers AppendTo/UnmarshalInto reusing one
 // buffer and one scratch packet per round trip, and the runtimes
-// recycle wire buffers through per-node rings (cluster.BufRing). The
+// recycle wire buffers through per-node rings (see cluster.Peer). The
 // allocating Marshal/Unmarshal/Combine remain as thin wrappers; see
 // DESIGN.md "Hot-path memory layout" for the slab layout, the buffer
 // ownership rules and the before/after allocation table.

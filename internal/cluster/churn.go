@@ -206,7 +206,7 @@ func (s *ChurnSchedule) Validate() error {
 // View is one node's membership view: the set of peers it believes
 // live, with a last-heard stamp per peer for optional silence-based
 // suspicion. Each View is owned by exactly one node (the goroutine or
-// lockstep slot driving it), like the node's BufRing.
+// lockstep slot driving it), like the rest of the node's Peer.
 //
 // Stamps are in driver units — ticks under the lockstep drivers,
 // nanoseconds since run start under the async ones — and suspicion

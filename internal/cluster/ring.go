@@ -1,8 +1,6 @@
 package cluster
 
-import "repro/internal/wire"
-
-// BufRing is a per-node ring of reusable packet buffers — the explicit,
+// bufRing is a per-node ring of reusable packet buffers — the explicit,
 // sync.Pool-free recycling scheme of the zero-allocation gossip hot
 // path. Ownership follows the packet flow, which is what makes reuse
 // safe without locks or reference counting:
@@ -29,26 +27,18 @@ import "repro/internal/wire"
 // more than it receives falls back to fresh allocations (Get returns
 // nil); one that receives more than it sends lets the surplus go to the
 // GC (Put over capacity discards).
-type BufRing struct {
+type bufRing struct {
 	bufs [][]byte
 }
 
-// DefaultRingCap is the per-node ring capacity the drivers use: enough
+// defaultRingCap is the per-node ring capacity the drivers use: enough
 // to cover several ticks of fanout emissions plus acks, small enough
 // that a node's parked buffer memory stays trivial.
-const DefaultRingCap = 64
-
-// NewBufRing returns a ring holding at most capacity buffers.
-func NewBufRing(capacity int) *BufRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &BufRing{bufs: make([][]byte, 0, capacity)}
-}
+const defaultRingCap = 64
 
 // Get pops a recycled buffer, or returns nil when the ring is empty
 // (append will then allocate, exactly as the pre-ring path did).
-func (r *BufRing) Get() []byte {
+func (r *bufRing) Get() []byte {
 	if n := len(r.bufs); n > 0 {
 		b := r.bufs[n-1]
 		r.bufs[n-1] = nil
@@ -60,23 +50,9 @@ func (r *BufRing) Get() []byte {
 
 // Put recycles a buffer; over capacity it is discarded to the GC. nil
 // is ignored so callers can Put unconditionally.
-func (r *BufRing) Put(b []byte) {
+func (r *bufRing) Put(b []byte) {
 	if b == nil || len(r.bufs) == cap(r.bufs) {
 		return
 	}
 	r.bufs = append(r.bufs, b)
-}
-
-// DecodeRecycle is the receive half of the ring protocol, shared by the
-// cluster and stream runtimes so the buffer-ownership rule lives in one
-// place: decode a drained inbox buffer into the caller's scratch packet
-// and recycle the buffer into the caller's own ring, reporting whether
-// the decode succeeded. Recycling before the caller consumes rx is safe
-// — wire.UnmarshalInto copies everything it keeps out of raw — and a
-// buffer is recycled whether or not it parsed (a malformed packet's
-// buffer is still a perfectly good buffer).
-func DecodeRecycle(rx *wire.Packet, ring *BufRing, raw []byte) bool {
-	err := wire.UnmarshalInto(rx, raw)
-	ring.Put(raw)
-	return err == nil
 }

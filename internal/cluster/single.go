@@ -105,41 +105,45 @@ func (c SingleConfig) linger() time.Duration {
 // reserved for misconfiguration and verification failures.
 func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeMetrics, error) {
 	var m NodeMetrics
-	k := len(toks)
-	if cfg.N < 1 {
-		return m, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.N)
+	if err := checkRun(cfg.N, cfg.Mode, toks); err != nil {
+		return m, err
 	}
 	if cfg.ID < 0 || cfg.ID >= cfg.N {
 		return m, fmt.Errorf("cluster: node id %d outside [0, %d)", cfg.ID, cfg.N)
-	}
-	if k < 1 {
-		return m, fmt.Errorf("cluster: need at least 1 token")
-	}
-	d := toks[0].D()
-	for i, t := range toks {
-		if t.D() != d {
-			return m, fmt.Errorf("cluster: token %d has %d payload bits, token 0 has %d", i, t.D(), d)
-		}
-	}
-	if cfg.Mode != Coded && cfg.Mode != Forward {
-		return m, fmt.Errorf("cluster: unknown mode %d", cfg.Mode)
 	}
 	if cfg.Transport == nil {
 		return m, fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
 	}
 
+	err := RunNode(ctx, cfg, func(p *Peer, _ bool) Node {
+		return newMember(p, cfg.Mode, toks, cfg.N, true, cfg.fanout(), &m)
+	})
+	return m, err
+}
+
+// RunNode is the single-node driver behind both RunSingle functions
+// (this package's and internal/stream's): it runs the one node spawn
+// builds over cfg.Transport, pacing Emit by cfg.Interval and Pushing
+// after every receipt that made progress, until the context ends, the
+// timeout expires, or the linger window after the node's own
+// completion runs out. The node is verified at its completion edge,
+// before lingering, so a corrupt decode fails loudly instead of
+// gossiping on; Err is checked after every step. Only cfg's ID, N,
+// Seed, Transport, Known, Interval, Timeout, Linger and Telemetry are
+// read.
+func RunNode(ctx context.Context, cfg SingleConfig, spawn func(p *Peer, joiner bool) Node) error {
 	// Every peer starts presumed-live: membership here is static (the
 	// launcher starts all N processes); what is dynamic is routability,
 	// which the known gate covers as the address book fills.
-	live := make([]bool, cfg.N)
-	for i := range live {
-		live[i] = true
+	d := newDriver(Config{N: cfg.N, Seed: cfg.Seed, Transport: cfg.Transport, Telemetry: cfg.Telemetry}, spawn)
+	for i := range d.live {
+		d.live[i] = true
 	}
-	mb := newMember(cfg.Mode, cfg.Seed, toks, cfg.ID, cfg.N, cfg.N, true, live, 0, &m, cfg.Telemetry)
-	mb.known = cfg.Known
-	if mb.known == nil {
+	p, nd := d.add(cfg.ID, false, 0)
+	p.known = cfg.Known
+	if p.known == nil {
 		if at, ok := cfg.Transport.(AddressedTransport); ok {
-			mb.known = at.Known
+			p.known = at.Known
 		}
 	}
 
@@ -147,53 +151,56 @@ func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeM
 	defer cancel()
 
 	start := time.Now()
-	now := func() int64 { return int64(time.Since(start)) }
-	emit := func() { mb.emit(cfg.Transport, cfg.fanout(), now(), false) }
-	markDone := func() bool {
-		if !m.Done && mb.g.complete() {
-			m.Done = true
-			m.DoneAt = time.Since(start)
-		}
-		return m.Done
-	}
-
 	var lingerC <-chan time.Time
-	if markDone() { // n == 1, or this node seeded everything
-		if err := mb.g.verify(toks); err != nil {
-			return m, fmt.Errorf("cluster: verification failed: %w", err)
+	// markDone reports completion, starting the linger window at the
+	// completion edge once the node verifies.
+	markDone := func() error {
+		if p.M.Done || !nd.Complete() {
+			return nil
 		}
-		lt := time.NewTimer(cfg.linger())
-		defer lt.Stop()
-		lingerC = lt.C
+		p.M.Done = true
+		p.M.DoneAt = time.Since(start)
+		if err := nd.Verify(); err != nil {
+			return err
+		}
+		lingerC = time.After(cfg.linger())
+		return nil
 	}
 
+	nd.Prime()
+	if err := nd.Err(); err != nil {
+		return err
+	}
+	if err := markDone(); err != nil { // n == 1, or this node seeded everything
+		return err
+	}
 	inbox := cfg.Transport.Recv(cfg.ID)
 	ticker := time.NewTicker(cfg.interval())
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return m, nil
+			return nil
 		case <-lingerC:
-			return m, nil
+			return nil
 		case raw := <-inbox:
-			if mb.recv(raw, now()) {
-				m.Innovative++
-				if markDone() && lingerC == nil {
-					// Verify at the completion edge, before lingering:
-					// a corrupt decode should fail loudly, not gossip on.
-					if err := mb.g.verify(toks); err != nil {
-						return m, fmt.Errorf("cluster: verification failed: %w", err)
-					}
-					lt := time.NewTimer(cfg.linger())
-					defer lt.Stop()
-					lingerC = lt.C
+			p.Now = int64(time.Since(start))
+			if p.recv(nd, raw) {
+				if err := nd.Err(); err != nil {
+					return err
 				}
-				emit()
+				if err := markDone(); err != nil {
+					return err
+				}
+				nd.Push()
 			}
 		case <-ticker.C:
-			mb.sample(cfg.Transport, now())
-			emit()
+			p.Now = int64(time.Since(start))
+			p.sample(nd, false)
+			nd.Emit()
+			if err := nd.Err(); err != nil {
+				return err
+			}
 		}
 	}
 }

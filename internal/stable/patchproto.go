@@ -27,13 +27,6 @@ func maxLubyIterations(n int) int {
 	return iters
 }
 
-// BuildPatchesCostBound returns a conservative upper bound on the rounds
-// BuildPatches may consume for an n-node network with patch radius d.
-// Callers use it to size stability windows.
-func BuildPatchesCostBound(n, d int) int {
-	return maxLubyIterations(n)*2*d + (2*d + 2)
-}
-
 // BuildPatches runs the distributed Section 8.1 patch construction as
 // phases of the session (whose adversary must be serving a stable
 // connected graph for the duration):

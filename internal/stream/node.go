@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -44,13 +43,19 @@ type genState struct {
 	adopted []bool
 }
 
-// node is the per-node streaming protocol state, shared by the lockstep
-// and async drivers. All methods are single-threaded per node: the
-// lockstep driver calls them from one goroutine, the async driver from
-// the node's own goroutine (and across a crash/restart the drivers
-// sequence the handoff, so state never has two owners).
+// node is the per-node streaming protocol state: the cluster.Node the
+// gossip driver runs. All methods are single-threaded per node — the
+// driver calls them from the lockstep slot or the node's own goroutine,
+// and sequences the handoff across a crash/restart, so state never has
+// two owners.
 type node struct {
-	id       int
+	// Peer is the node's share of the gossip driver: id, clock,
+	// membership view, randomness, emission scratch and send path. The
+	// view is what peer sampling, hello bookkeeping and — crucially —
+	// the retirement frontier run over, so a crashed node's stale
+	// watermark stops holding the frontier once suspicion evicts it.
+	*cluster.Peer
+
 	n        int // initial membership (origin rotation modulus)
 	maxN     int // node id space: n + churn joins
 	k        int
@@ -62,18 +67,7 @@ type node struct {
 	churn    bool
 	lockstep bool
 	src      Source
-	rng      *rand.Rand
 	deliver  DeliverFunc
-
-	// view is the node's membership view; peer sampling, hello
-	// bookkeeping and — crucially — the retirement frontier run over
-	// it, so a crashed node's stale watermark stops holding the
-	// frontier once suspicion evicts it.
-	view *cluster.View
-	// now is the node's current clock in view-stamp units (lockstep
-	// tick / async nanoseconds), set by the driver before it hands the
-	// node packets or emission slots.
-	now int64
 
 	// base is the retirement frontier: the oldest generation not yet
 	// known to be decoded by every frontier member. Spans below base
@@ -84,7 +78,7 @@ type node struct {
 	// pool holds Reset spans for reuse by future generations.
 	pool []*rlnc.Span
 	// marks[i] is the highest delivery watermark learned for node i
-	// (marks[id] is maintained locally as delivered).
+	// (marks[ID] is maintained locally as delivered).
 	marks []int
 	// delivered is the absolute watermark: generations in
 	// [startGen, delivered) were decoded, verified and handed to the
@@ -111,54 +105,27 @@ type node struct {
 	// directly. Only ever non-empty in churn runs.
 	serveQ []serveReq
 
-	// tx/rx are the node's reusable packet scratches (emitInto /
-	// UnmarshalInto targets) and ring recycles wire buffers between the
-	// node's receive and send sides; all three are only ever touched by
-	// the goroutine driving this node.
-	tx   wire.Packet
-	rx   wire.Packet
-	ring *cluster.BufRing
-
+	// m is the node's full metrics; Peer.M points at its shared part.
 	m *NodeMetrics
-	// err records a delivery verification failure; the drivers abort
+	// err records a delivery verification failure; the driver aborts
 	// the run when set.
 	err error
 
-	// tel traces the node's protocol events; nil is the disabled state
-	// (every recording call is a nil-receiver no-op). Owned by the same
-	// goroutine/lockstep slot as the rest of the node.
-	tel *telemetry.Recorder
 	// eligPrev tracks each peer's frontier eligibility between gc
 	// passes, so suspicion transitions (eligible → not) can be traced.
 	// Lazily allocated only when tracing a churn run; nil otherwise.
 	eligPrev []bool
-
-	// known optionally gates peer sampling on routability: a transport
-	// with an address book (udpnet) may know fewer peers than the view
-	// believes live. Nil (every in-process run) keeps randPeer a single
-	// Pick draw, which the lockstep golden transcripts pin.
-	known func(int) bool
-
-	// rank, when non-nil, publishes the node's delivery watermark for
-	// the targeted-crash oracle (crashfrontier kills the straggler).
-	rank *atomic.Int64
-
-	// out, when non-nil, routes this node's emissions into its shard's
-	// private outbox instead of the transport: the sharded lockstep
-	// driver replays outboxes serially at the tick's exchange barrier so
-	// middleware rng draws happen in serial-driver order. Cleared
-	// around churn-phase helloAll, whose sends must land inline (the
-	// serial driver drains them the same tick).
-	out *cluster.Outbox
 }
 
-// newNode builds the runtime state for one node. live is the current
-// membership snapshot (the node's initial view / a joiner's contact
-// list); joiner marks the node as needing frontier bootstrap.
-func newNode(id int, cfg Config, src Source, m *NodeMetrics, live []bool, now int64, joiner bool) *node {
+// newNode builds the stream protocol state for p.ID on the driver's
+// Peer and points p.M at m; joiner marks the node as needing frontier
+// bootstrap.
+func newNode(p *cluster.Peer, cfg Config, src Source, m *NodeMetrics, joiner bool) *node {
 	maxN := cfg.maxNodes()
-	nd := &node{
-		id:           id,
+	p.M = &m.NodeMetrics
+	p.View.SuspectAfter = cfg.suspectAfter()
+	return &node{
+		Peer:         p,
 		n:            cfg.N,
 		maxN:         maxN,
 		k:            cfg.K,
@@ -170,33 +137,12 @@ func newNode(id int, cfg Config, src Source, m *NodeMetrics, live []bool, now in
 		churn:        cfg.Churn != nil,
 		lockstep:     cfg.Lockstep,
 		src:          src,
-		rng:          rand.New(rand.NewSource(cfg.Seed + 7919*int64(id) + 1)),
 		deliver:      cfg.Deliver,
 		spans:        make(map[int]*genState),
 		marks:        make([]int, maxN),
-		view:         cluster.NewView(id, maxN),
-		now:          now,
 		bootstrapped: !joiner,
-		ring:         cluster.NewBufRing(cluster.DefaultRingCap),
 		m:            m,
-		tel:          cfg.Telemetry,
 	}
-	for pid, l := range live {
-		if l {
-			nd.view.Mark(pid, now)
-		}
-	}
-	nd.view.SuspectAfter = cfg.suspectAfter()
-	m.Spawned = true
-	m.Live = true
-	return nd
-}
-
-// recv decodes one drained inbox buffer into the rx scratch, absorbs
-// it, and recycles the buffer into the node's ring. It reports whether
-// the packet changed the node's state.
-func (nd *node) recv(raw []byte) bool {
-	return cluster.DecodeRecycle(&nd.rx, nd.ring, raw) && nd.absorb(&nd.rx)
 }
 
 // ensureGen returns generation g's state, creating the span (from the
@@ -218,7 +164,7 @@ func (nd *node) ensureGen(g int) *genState {
 
 	owned := false
 	for j := 0; j < nd.k; j++ {
-		if genOwner(g, nd.k, j, nd.n) == nd.id {
+		if genOwner(g, nd.k, j, nd.n) == nd.ID {
 			owned = true
 			break
 		}
@@ -226,7 +172,7 @@ func (nd *node) ensureGen(g int) *genState {
 	if owned {
 		toks := nd.src.Generation(g)
 		for j := 0; j < nd.k; j++ {
-			if genOwner(g, nd.k, j, nd.n) == nd.id {
+			if genOwner(g, nd.k, j, nd.n) == nd.ID {
 				gs.span.Add(rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j])))
 			}
 		}
@@ -258,7 +204,7 @@ func (nd *node) deliverReady() {
 		g := nd.delivered
 		vecs, err := gs.span.Decode()
 		if err != nil {
-			nd.err = fmt.Errorf("stream: node %d generation %d: %w", nd.id, g, err)
+			nd.err = fmt.Errorf("stream: node %d generation %d: %w", nd.ID, g, err)
 			return
 		}
 		toks := make([]token.Token, len(vecs))
@@ -268,7 +214,7 @@ func (nd *node) deliverReady() {
 		for j, want := range nd.src.Generation(g) {
 			if !toks[j].Equal(want) {
 				nd.err = fmt.Errorf("stream: node %d generation %d token %d decoded to %v, want %v",
-					nd.id, g, j, toks[j].UID, want.UID)
+					nd.ID, g, j, toks[j].UID, want.UID)
 				return
 			}
 		}
@@ -276,20 +222,17 @@ func (nd *node) deliverReady() {
 			// First delivery of a mid-stream joiner: it has reached the
 			// cluster watermark it learned at join time.
 			if nd.lockstep {
-				nd.m.CaughtUpTick = int(nd.now)
+				nd.m.CaughtUpTick = int(nd.Now)
 			} else {
-				nd.m.CaughtUpAt = time.Duration(nd.now)
+				nd.m.CaughtUpAt = time.Duration(nd.Now)
 			}
 		}
 		nd.delivered++
-		nd.marks[nd.id] = nd.delivered
-		if nd.rank != nil {
-			nd.rank.Store(int64(nd.delivered))
-		}
+		nd.marks[nd.ID] = nd.delivered
 		nd.m.Delivered++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindDeliver, int64(g), int64(nd.delivered), 0)
 		if nd.deliver != nil {
-			nd.deliver(nd.id, g, toks)
+			nd.deliver(nd.ID, g, toks)
 		}
 	}
 }
@@ -304,23 +247,23 @@ func (nd *node) deliverReady() {
 func (nd *node) gc() {
 	// Suspicion transitions are traced by diffing eligibility between
 	// gc passes; the first pass only snapshots (no transitions yet).
-	trackSusp := nd.tel != nil && nd.churn
+	trackSusp := nd.Tel != nil && nd.churn
 	if trackSusp && nd.eligPrev == nil {
 		nd.eligPrev = make([]bool, nd.maxN)
 		for id := range nd.eligPrev {
-			nd.eligPrev[id] = nd.view.Eligible(id, nd.now)
+			nd.eligPrev[id] = nd.View.Eligible(id, nd.Now)
 		}
 		trackSusp = false
 	}
 	floor := nd.delivered
 	for id := 0; id < nd.maxN; id++ {
-		if id == nd.id {
+		if id == nd.ID {
 			continue
 		}
-		elig := nd.view.Eligible(id, nd.now)
+		elig := nd.View.Eligible(id, nd.Now)
 		if trackSusp {
 			if nd.eligPrev[id] && !elig {
-				nd.tel.Event(nd.id, nd.now, telemetry.KindSuspect, int64(id), 0, 0)
+				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindSuspect, int64(id), 0, 0)
 			}
 			nd.eligPrev[id] = elig
 		}
@@ -336,12 +279,12 @@ func (nd *node) gc() {
 			gs.span.Reset()
 			nd.pool = append(nd.pool, gs.span)
 			delete(nd.spans, g)
-			nd.tel.Event(nd.id, nd.now, telemetry.KindRetire, int64(g), 0, 0)
+			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRetire, int64(g), 0, 0)
 		}
 	}
 	if floor > nd.base {
 		nd.base = floor
-		nd.tel.Event(nd.id, nd.now, telemetry.KindFrontier, int64(floor), 0, 0)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindFrontier, int64(floor), 0, 0)
 	}
 }
 
@@ -386,15 +329,44 @@ func (nd *node) noteMemory() {
 	}
 }
 
-// prime opens the node's initial window so origins have something to
+// Prime opens the node's initial window so origins have something to
 // say before any packet arrives, and delivers whatever is
 // self-contained (the n = 1 case decodes everything right here).
-func (nd *node) prime() { nd.advance() }
+func (nd *node) Prime() { nd.advance() }
 
-// done reports whether the node has delivered the whole stream (from
-// its startGen onward; a joiner's obligation starts at the frontier it
-// learned at join time).
-func (nd *node) done() bool { return nd.bootstrapped && nd.delivered >= nd.gens }
+// Complete reports whether the node has delivered the whole stream
+// (from its startGen onward; a joiner's obligation starts at the
+// frontier it learned at join time).
+func (nd *node) Complete() bool { return nd.bootstrapped && nd.delivered >= nd.gens }
+
+// Restart re-learns the frontier before a restarted node resumes: the
+// cluster may have retired generations past its persisted watermark
+// while it was down, so it is not done until it catches up again.
+func (nd *node) Restart() {
+	nd.bootstrapped = false
+	nd.m.Done = false
+}
+
+// Rank is the delivery watermark: crashfrontier kills the straggler.
+func (nd *node) Rank() int { return nd.delivered }
+
+// Err reports a delivery verification failure.
+func (nd *node) Err() error { return nd.err }
+
+// Verify is Err: every delivery was verified against the Source as it
+// happened.
+func (nd *node) Verify() error { return nd.err }
+
+// Sample reports the rank of the generation at the delivery watermark
+// (the one the node is working on) and the watermark itself.
+func (nd *node) Sample() (rank, mark int) {
+	if gs, ok := nd.spans[nd.delivered]; ok {
+		rank = gs.span.Rank()
+	} else if nd.delivered >= nd.gens {
+		rank = nd.k // stream finished
+	}
+	return rank, nd.delivered
+}
 
 // bootstrap consumes the first watermark gossip a joiner (or a
 // restarted node re-learning the frontier) sees: the highest watermark
@@ -422,7 +394,7 @@ func (nd *node) bootstrap() {
 	}
 	nd.startGen = start
 	nd.delivered = start
-	nd.marks[nd.id] = start
+	nd.marks[nd.ID] = start
 	nd.m.StartGen = start
 	// Sweep persisted spans the cluster retired while this node was
 	// down; base only ever moves forward.
@@ -440,33 +412,18 @@ func (nd *node) bootstrap() {
 	nd.advance()
 }
 
-// absorb ingests one packet, reporting whether it changed this node's
-// state (grew a span, advanced a watermark, or bootstrapped a joiner)
-// — the async driver's emit-on-progress trigger. The packet is the
-// caller's reused scratch: everything retained (span rows, watermarks,
-// rank bits, view entries) is copied.
-func (nd *node) absorb(p *wire.Packet) bool {
+// Recv ingests one gossip packet, reporting whether it changed this
+// node's state (grew a span, advanced a watermark, or bootstrapped a
+// joiner) — the async driver's push-on-progress trigger. The packet is
+// the driver's reused scratch: everything retained (span rows,
+// watermarks, rank bits) is copied.
+func (nd *node) Recv(p *wire.Packet) bool {
 	sender := int(p.Env.Sender)
 	switch p.Env.Type {
-	case wire.TypeHello:
-		if p.Hello.Leaving {
-			nd.tel.Event(nd.id, nd.now, telemetry.KindRecvHello, int64(sender), 1, 0)
-			nd.view.Remove(sender)
-			return false
-		}
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecvHello, int64(sender), 0, 0)
-		nd.view.Mark(sender, nd.now)
-		for _, pid := range p.Hello.Peers {
-			// Third-party introductions never refresh a known peer's
-			// stamp (see View.Introduce), or suspicion could never evict
-			// a crashed node that peers keep listing.
-			nd.view.Introduce(int(pid), nd.now)
-		}
-		return false
 	case wire.TypeCoded:
 		nd.m.PacketsIn++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
-		nd.view.Mark(sender, nd.now)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecv, int64(sender), int64(p.Env.Epoch), 0)
+		nd.View.Mark(sender, nd.Now)
 		if !nd.bootstrapped {
 			nd.m.Stale++
 			return false
@@ -482,22 +439,22 @@ func (nd *node) absorb(p *wire.Packet) bool {
 		}
 		gs := nd.ensureGen(g)
 		if gs.decoded || !gs.span.Add(cd) {
-			if nd.tel != nil {
-				nd.tel.Event(nd.id, nd.now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 0)
+			if nd.Tel != nil {
+				nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 0)
 			}
 			return false
 		}
 		nd.m.Innovative++
-		if nd.tel != nil {
-			nd.tel.Event(nd.id, nd.now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 1)
+		if nd.Tel != nil {
+			nd.Tel.Event(nd.ID, nd.Now, telemetry.KindInsert, int64(g), int64(gs.span.Rank()), 1)
 		}
 		nd.checkDecoded(g, gs)
 		nd.advance()
 		return true
 	case wire.TypeAck:
 		nd.m.AcksIn++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindRecvAck, int64(sender), int64(p.Ack.Watermark), 0)
-		nd.view.Mark(sender, nd.now)
+		nd.Tel.Event(nd.ID, nd.Now, telemetry.KindRecvAck, int64(sender), int64(p.Ack.Watermark), 0)
+		nd.View.Mark(sender, nd.Now)
 		changed := nd.mergeMark(sender, int(p.Ack.Watermark))
 		for _, pm := range p.Ack.Peers {
 			changed = nd.mergeMark(int(pm.Node), int(pm.Watermark)) || changed
@@ -550,29 +507,13 @@ func (nd *node) queueServe(peer, gen int) {
 // coded packets addressed to the straggler. Losses heal themselves:
 // the straggler's next ack still shows partial rank and re-queues the
 // serve.
-func (nd *node) serveCatchup(tr cluster.Transport) {
-	if len(nd.serveQ) == 0 {
-		return
-	}
+func (nd *node) serveCatchup() {
 	for _, rq := range nd.serveQ {
 		toks := nd.src.Generation(rq.gen)
 		for j := 0; j < nd.k; j++ {
-			nd.tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.id), Epoch: uint32(rq.gen)}
-			nd.tx.Coded = rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))
-			nd.m.PacketsOut++
-			bits := int64(nd.tx.Bits())
-			nd.m.BitsOut += bits
-			buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-			if nd.out != nil {
-				nd.out.Add(cluster.OutEntry{From: nd.id, To: rq.peer, Kind: cluster.OutData, Arg: int64(rq.gen), Bits: bits, Buf: buf})
-				continue
-			}
-			nd.tel.Event(nd.id, nd.now, telemetry.KindSend, int64(rq.peer), int64(rq.gen), bits)
-			if !tr.Send(nd.id, rq.peer, buf) {
-				nd.m.Dropped++
-				nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(rq.peer), 0, 0)
-				nd.ring.Put(buf)
-			}
+			nd.Tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(rq.gen)}
+			nd.Tx.Coded = rlnc.Encode(j, nd.k, cluster.TokenVec(toks[j]))
+			nd.Send(rq.peer)
 		}
 	}
 	nd.serveQ = nd.serveQ[:0]
@@ -583,7 +524,7 @@ func (nd *node) serveCatchup(tr cluster.Transport) {
 // permanent; only live spans are updated (the hint is worthless once
 // the generation retired, and not worth opening a span for).
 func (nd *node) markRank(sender, g, rank int) {
-	if rank < nd.k || sender < 0 || sender >= nd.maxN || sender == nd.id {
+	if rank < nd.k || sender < 0 || sender >= nd.maxN || sender == nd.ID {
 		return
 	}
 	gs, ok := nd.spans[g]
@@ -601,7 +542,7 @@ func (nd *node) markRank(sender, g, rank int) {
 
 // mergeMark folds one learned watermark into the view (pointwise max).
 func (nd *node) mergeMark(id, w int) bool {
-	if id < 0 || id >= nd.maxN || id == nd.id {
+	if id < 0 || id >= nd.maxN || id == nd.ID {
 		return false
 	}
 	if w > nd.gens {
@@ -620,7 +561,7 @@ func (nd *node) mergeMark(id, w int) bool {
 // origin crashing before it shared anything. Several nodes may
 // transiently disagree about who is lowest and double-inject, which
 // costs nothing (identical rows are non-innovative); what matters is
-// that at least one live node injects. Drivers call this once per
+// that at least one live node injects. Emit calls this once per
 // tick/interval in churn runs.
 func (nd *node) adoptOrphans() {
 	if !nd.churn || !nd.bootstrapped {
@@ -650,7 +591,7 @@ func (nd *node) adoptOrphans() {
 		injected := false
 		for j := 0; j < nd.k; j++ {
 			owner := genOwner(g, nd.k, j, nd.n)
-			if owner == nd.id || nd.view.Eligible(owner, nd.now) {
+			if owner == nd.ID || nd.View.Eligible(owner, nd.Now) {
 				continue
 			}
 			if gs.adopted == nil {
@@ -681,8 +622,8 @@ func (nd *node) adoptOrphans() {
 // the currently eligible view members — the deterministic adopter of
 // orphaned origins.
 func (nd *node) lowestEligible() bool {
-	for id := 0; id < nd.id; id++ {
-		if nd.view.Eligible(id, nd.now) {
+	for id := 0; id < nd.ID; id++ {
+		if nd.View.Eligible(id, nd.Now) {
 			return false
 		}
 	}
@@ -701,7 +642,7 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 	if hi > nd.gens {
 		hi = nd.gens
 	}
-	audience := nd.view.LiveCount() - 1
+	audience := nd.View.LiveCount() - 1
 	nd.cands = nd.cands[:0]
 	for g := nd.base; g < hi; g++ {
 		gs := nd.ensureGen(g)
@@ -716,10 +657,10 @@ func (nd *node) emitDataInto(p *wire.Packet) bool {
 	}
 	g := nd.cands[nd.cursor%len(nd.cands)]
 	nd.cursor++
-	if !nd.spans[g].span.RandomCombinationInto(&p.Coded, nd.rng) {
+	if !nd.spans[g].span.RandomCombinationInto(&p.Coded, nd.Rng) {
 		return false
 	}
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.id), Epoch: uint32(g)}
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeCoded, Sender: uint32(nd.ID), Epoch: uint32(g)}
 	return true
 }
 
@@ -732,7 +673,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 	if hi > nd.gens {
 		hi = nd.gens
 	}
-	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.id), Epoch: uint32(nd.delivered)}
+	p.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Sender: uint32(nd.ID), Epoch: uint32(nd.delivered)}
 	ack := &p.Ack
 	ack.Watermark = uint32(nd.delivered)
 	ack.Ranks = ack.Ranks[:0]
@@ -755,7 +696,7 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 		ack.Ranks = append(ack.Ranks, wire.GenRank{Gen: uint32(nd.delivered), Rank: uint32(rank)})
 	}
 	for i, w := range nd.marks {
-		if i == nd.id {
+		if i == nd.ID {
 			w = nd.delivered
 		}
 		if w > 0 {
@@ -764,158 +705,36 @@ func (nd *node) emitAckInto(p *wire.Packet) {
 	}
 }
 
-// randPeer picks a uniform live, unsuspected peer, or -1 when there is
-// none. With a full view it draws exactly as the static runtime did,
-// keeping churnless transcripts bit-identical. With a known gate it
-// redraws a bounded number of times to land on a routable peer.
-func (nd *node) randPeer() int {
-	peer := nd.view.Pick(nd.rng, nd.now)
-	if nd.known == nil {
-		return peer
-	}
-	for tries := 0; tries < 4 && peer >= 0 && !nd.known(peer); tries++ {
-		peer = nd.view.Pick(nd.rng, nd.now)
-	}
-	if peer >= 0 && !nd.known(peer) {
-		return -1
-	}
-	return peer
+// Emit fills one emission slot: adopt orphaned tokens (churn runs),
+// then up to fanout data packets and one ack.
+func (nd *node) Emit() {
+	nd.adoptOrphans()
+	nd.Push()
+	nd.pushAck()
 }
 
-// pushData sends up to fanout fresh coded packets to random peers,
-// marshalling each through a recycled ring buffer. A node with nothing
-// to gossip yet (a joiner awaiting bootstrap) instead announces itself
-// to one random peer in churn runs, so peers keep learning it exists
-// even if its join-time hello burst was lost.
-func (nd *node) pushData(tr cluster.Transport) {
-	if nd.view.LiveCount() < 2 {
+// Push serves queued catch-ups, then sends up to fanout fresh coded
+// packets to random peers; a node with nothing to gossip yet (a joiner
+// awaiting bootstrap) announces itself instead in churn runs.
+func (nd *node) Push() {
+	if nd.View.LiveCount() < 2 {
 		return
 	}
-	nd.serveCatchup(tr)
-	sent := false
-	for f := 0; f < nd.fanout; f++ {
-		if !nd.emitDataInto(&nd.tx) {
-			break
-		}
-		peer := nd.randPeer()
-		if peer < 0 {
-			return
-		}
-		sent = true
-		nd.m.PacketsOut++
-		bits := int64(nd.tx.Bits())
-		nd.m.BitsOut += bits
-		buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-		if nd.out != nil {
-			nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutData, Arg: int64(nd.tx.Env.Epoch), Bits: bits, Buf: buf})
-			continue
-		}
-		nd.tel.Event(nd.id, nd.now, telemetry.KindSend, int64(peer), int64(nd.tx.Env.Epoch), bits)
-		if !tr.Send(nd.id, peer, buf) {
-			nd.m.Dropped++
-			nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-			nd.ring.Put(buf)
-		}
-	}
-	if !sent && nd.churn {
-		if peer := nd.randPeer(); peer >= 0 {
-			nd.buildHello(false)
-			nd.sendHello(tr, peer)
-		}
-	}
+	nd.serveCatchup()
+	nd.Gossip(nd.fanout, nd.emitDataInto)
 }
 
 // pushAck sends one progress ack to a random peer. A joiner holds its
 // acks until it has bootstrapped: it has no watermark to report yet.
-func (nd *node) pushAck(tr cluster.Transport) {
-	if nd.view.LiveCount() < 2 || !nd.bootstrapped {
+func (nd *node) pushAck() {
+	if nd.View.LiveCount() < 2 || !nd.bootstrapped {
 		return
 	}
-	nd.emitAckInto(&nd.tx)
-	peer := nd.randPeer()
+	nd.emitAckInto(&nd.Tx)
+	peer := nd.Pick()
 	if peer < 0 {
 		return
 	}
 	nd.m.AcksOut++
-	nd.m.BitsOut += int64(nd.tx.Bits())
-	buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-	if nd.out != nil {
-		nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutAck, Arg: int64(nd.delivered), Buf: buf})
-		return
-	}
-	nd.tel.Event(nd.id, nd.now, telemetry.KindSendAck, int64(peer), int64(nd.delivered), 0)
-	if !tr.Send(nd.id, peer, buf) {
-		nd.m.Dropped++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-		nd.ring.Put(buf)
-	}
-}
-
-// buildHello fills the tx scratch with a membership announcement
-// carrying the node's current live view.
-func (nd *node) buildHello(leaving bool) {
-	nd.tx.Env = wire.Envelope{Version: wire.Version, Type: wire.TypeHello, Sender: uint32(nd.id), Epoch: 0}
-	nd.tx.Hello.Leaving = leaving
-	nd.tx.Hello.Peers = nd.view.AppendPeers(nd.tx.Hello.Peers[:0])
-}
-
-// sendHello marshals the tx scratch (built by buildHello) to one peer.
-func (nd *node) sendHello(tr cluster.Transport, peer int) {
-	nd.m.HellosOut++
-	nd.m.BitsOut += int64(nd.tx.Bits())
-	leaving := int64(0)
-	if nd.tx.Hello.Leaving {
-		leaving = 1
-	}
-	buf := nd.tx.AppendTo(nd.ring.Get()[:0])
-	if nd.out != nil {
-		nd.out.Add(cluster.OutEntry{From: nd.id, To: peer, Kind: cluster.OutHello, Arg: leaving, Buf: buf})
-		return
-	}
-	nd.tel.Event(nd.id, nd.now, telemetry.KindSendHello, int64(peer), leaving, 0)
-	if !tr.Send(nd.id, peer, buf) {
-		nd.m.Dropped++
-		nd.tel.Event(nd.id, nd.now, telemetry.KindDrop, int64(peer), 0, 0)
-		nd.ring.Put(buf)
-	}
-}
-
-// sample records one telemetry time-series point for the node: the
-// rank of the generation at the delivery watermark (the one the node
-// is working on), the watermark itself, inbox backlog and live-view
-// size. A no-op without a recorder.
-func (nd *node) sample(tr cluster.Transport) {
-	if nd.tel == nil {
-		return
-	}
-	rank := 0
-	if gs, ok := nd.spans[nd.delivered]; ok {
-		rank = gs.span.Rank()
-	} else if nd.delivered >= nd.gens {
-		rank = nd.k // stream finished
-	}
-	inbox := len(tr.Recv(nd.id))
-	if nd.lockstep {
-		nd.tel.SampleTick(nd.id, nd.now, rank, nd.delivered, inbox, nd.view.LiveCount())
-	} else {
-		nd.tel.Sample(nd.id, nd.now, rank, nd.delivered, inbox, nd.view.LiveCount())
-	}
-}
-
-// helloAll announces to every peer currently in the view: the
-// join/restart introduction burst, or the graceful-leave goodbye.
-// Churn-phase hellos bypass the shard outbox and send inline: the
-// serial driver delivers them to inboxes drained the same tick, so
-// deferring them to the exchange barrier would delay delivery a tick
-// and diverge from the serial transcript.
-func (nd *node) helloAll(tr cluster.Transport, leaving bool) {
-	out := nd.out
-	nd.out = nil
-	defer func() { nd.out = out }()
-	nd.buildHello(leaving)
-	for _, pid := range nd.tx.Hello.Peers {
-		if int(pid) != nd.id {
-			nd.sendHello(tr, int(pid))
-		}
-	}
+	nd.Send(peer)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // SingleConfig parameterizes one node of a multi-process streaming run:
@@ -58,41 +57,6 @@ type SingleConfig struct {
 	Telemetry *telemetry.Recorder
 }
 
-func (c SingleConfig) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c SingleConfig) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 4
-}
-
-func (c SingleConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c SingleConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (c SingleConfig) linger() time.Duration {
-	if c.Linger > 0 {
-		return c.Linger
-	}
-	return 2 * time.Second
-}
-
 // config lowers the single-node parameters onto the shared Config so
 // newNode and the node methods see exactly the in-process shape
 // (churnless, async clocking).
@@ -113,6 +77,15 @@ func (c SingleConfig) config() Config {
 	}
 }
 
+// single lowers the parameters the single-node driver reads onto
+// cluster.SingleConfig.
+func (c SingleConfig) single() cluster.SingleConfig {
+	return cluster.SingleConfig{
+		ID: c.ID, N: c.N, Seed: c.Seed, Transport: c.Transport, Known: c.Known,
+		Interval: c.Interval, Timeout: c.Timeout, Linger: c.Linger, Telemetry: c.Telemetry,
+	}
+}
+
 // RunSingle runs ONE node of an N-node streaming run over the caller's
 // Transport: it sources its share of every window generation, gossips
 // coded packets and watermark acks until it has delivered the whole
@@ -123,96 +96,18 @@ func (c SingleConfig) config() Config {
 // delivery verification failure.
 func RunSingle(ctx context.Context, cfg SingleConfig) (NodeMetrics, error) {
 	var m NodeMetrics
+	lowered := cfg.config()
+	src, err := lowered.check()
 	switch {
-	case cfg.N < 1:
-		return m, fmt.Errorf("stream: need at least 1 node, got %d", cfg.N)
+	case err != nil:
+		return m, err
 	case cfg.ID < 0 || cfg.ID >= cfg.N:
 		return m, fmt.Errorf("stream: node id %d outside [0, %d)", cfg.ID, cfg.N)
-	case cfg.K < 1:
-		return m, fmt.Errorf("stream: need at least 1 token per generation, got %d", cfg.K)
-	case cfg.PayloadBits < 1:
-		return m, fmt.Errorf("stream: need at least 1 payload bit, got %d", cfg.PayloadBits)
-	case cfg.Generations < 1:
-		return m, fmt.Errorf("stream: need at least 1 generation, got %d", cfg.Generations)
-	case uint64(cfg.Generations) > wire.MaxEpoch:
-		return m, fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", cfg.Generations, uint64(wire.MaxEpoch))
-	case cfg.Window < 0:
-		return m, fmt.Errorf("stream: negative window %d", cfg.Window)
-	case cfg.Fanout < 0:
-		return m, fmt.Errorf("stream: negative fanout %d", cfg.Fanout)
 	case cfg.Transport == nil:
 		return m, fmt.Errorf("stream: RunSingle needs a Transport (the process's socket)")
 	}
-	lowered := cfg.config()
-	src := lowered.source()
-	if toks := src.Generation(0); len(toks) != cfg.K {
-		return m, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), cfg.K)
-	}
-
-	live := make([]bool, cfg.N)
-	for i := range live {
-		live[i] = true
-	}
-	nd := newNode(cfg.ID, lowered, src, &m, live, 0, false)
-	nd.known = cfg.Known
-	if nd.known == nil {
-		if at, ok := cfg.Transport.(cluster.AddressedTransport); ok {
-			nd.known = at.Known
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, cfg.timeout())
-	defer cancel()
-
-	start := time.Now()
-	tick := func() { nd.now = int64(time.Since(start)) }
-	markDone := func() bool {
-		if !m.Done && nd.done() {
-			m.Done = true
-			m.DoneAt = time.Since(start)
-		}
-		return m.Done
-	}
-
-	nd.prime()
-	if nd.err != nil {
-		return m, nd.err
-	}
-	var lingerC <-chan time.Time
-	startLinger := func() {
-		lt := time.NewTimer(cfg.linger())
-		lingerC = lt.C
-	}
-	if markDone() { // n == 1, or a window the node sources alone
-		startLinger()
-	}
-
-	tr := cfg.Transport
-	inbox := tr.Recv(cfg.ID)
-	ticker := time.NewTicker(cfg.interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return m, nil
-		case <-lingerC:
-			return m, nil
-		case raw := <-inbox:
-			tick()
-			if nd.recv(raw) {
-				if nd.err != nil {
-					return m, nd.err
-				}
-				if markDone() && lingerC == nil {
-					startLinger()
-				}
-				nd.pushData(tr)
-			}
-		case <-ticker.C:
-			tick()
-			nd.sample(tr)
-			nd.pushData(tr)
-			nd.pushAck(tr)
-		}
-	}
+	err = cluster.RunNode(ctx, cfg.single(), func(p *cluster.Peer, _ bool) cluster.Node {
+		return newNode(p, lowered, src, &m, false)
+	})
+	return m, err
 }

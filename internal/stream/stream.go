@@ -25,21 +25,20 @@
 // generation order per node, and every delivery is verified against the
 // Source before the callback sees it.
 //
-// Like internal/cluster, the package ships two drivers over the same
-// node logic: an async goroutine-per-node runtime (wall-clock metrics,
-// context shutdown) and a deterministic lockstep driver whose runs are
-// a pure function of Config.Seed.
+// The package is protocol logic only: it runs on internal/cluster's
+// gossip driver (cluster.Drive, cluster.RunNode) — the same async
+// goroutine-per-node runtime (wall-clock metrics, context shutdown),
+// deterministic lockstep engine whose runs are a pure function of
+// Config.Seed, and single-node process body the cluster protocol uses.
 package stream
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/token"
 	"repro/internal/wire"
@@ -162,8 +161,8 @@ type Config struct {
 	// PayloadBits, Seed).
 	Source Source
 	// Transport carries the packets; nil means a fresh ChanTransport
-	// sized so lockstep backpressure drops cannot occur. Run closes the
-	// transport before returning.
+	// with DefaultInbox slots per node. Run closes the transport before
+	// returning.
 	Transport cluster.Transport
 	// Deliver observes decoded generations (optional).
 	Deliver DeliverFunc
@@ -174,7 +173,7 @@ type Config struct {
 	// many workers over contiguous node-id ranges, with a serial
 	// exchange barrier replaying emissions in id order so transcripts
 	// stay bit-identical to the serial driver at every shard count (see
-	// cluster.Outbox and DESIGN.md "Sharded lockstep engine"). 0 and 1
+	// DESIGN.md "Gossip driver"). 0 and 1
 	// both mean the serial engine; >1 requires Lockstep. On sharded runs
 	// Deliver is called concurrently from shard workers (distinct nodes
 	// only — per-node calls stay strictly ordered) and must be safe for
@@ -244,32 +243,11 @@ func (c Config) fanout() int {
 	return 2
 }
 
-func (c Config) shards() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
-}
-
-func (c Config) maxTicks() int {
-	if c.MaxTicks > 0 {
-		return c.MaxTicks
-	}
-	return 20000
-}
-
 func (c Config) interval() time.Duration {
 	if c.Interval > 0 {
 		return c.Interval
 	}
 	return 500 * time.Microsecond
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
 }
 
 func (c Config) source() Source {
@@ -279,56 +257,55 @@ func (c Config) source() Source {
 	return NewSeededSource(c.K, c.PayloadBits, c.Seed)
 }
 
+// driver lowers the parameters the gossip driver reads onto
+// cluster.Config.
+func (c Config) driver() cluster.Config {
+	return cluster.Config{
+		N: c.N, Seed: c.Seed, Transport: c.Transport,
+		Interval: c.Interval, Timeout: c.Timeout,
+		Lockstep: c.Lockstep, Shards: c.Shards, MaxTicks: c.MaxTicks,
+		Churn: c.Churn, Telemetry: c.Telemetry,
+	}
+}
+
+// DefaultInbox is the per-node inbox size Run gives its default
+// transport, and the CLI's automatic -buffer: cluster's DefaultInbox
+// with the ack every node sends per tick on top of its fanout data
+// packets.
+func (c Config) DefaultInbox() int {
+	d := c.driver()
+	d.Fanout = c.fanout() + 1
+	return d.DefaultInbox()
+}
+
 // InboxBuffer returns the per-node inbox size at which lockstep
 // backpressure drops are impossible: one tick's worst case is every
 // node targeting the same inbox with fanout data packets plus one ack
 // each.
 func InboxBuffer(n, fanout int) int { return cluster.InboxBuffer(n, fanout+1) }
 
-// DefaultInboxBuffer is the sizing the driver (and the CLI's buffer
-// auto-sizing) uses when no transport is supplied: the exact
-// InboxBuffer bound below cluster.LargeClusterNodes, capped at a
-// constant slot count above it — see cluster.DefaultInboxBuffer for
-// the overflow analysis.
+// DefaultInboxBuffer is Config.DefaultInbox for a churnless run of n
+// nodes at the given fanout: the exact InboxBuffer bound below
+// cluster.LargeClusterNodes, capped at a constant slot count above it —
+// see cluster.DefaultInboxBuffer for the overflow analysis.
 func DefaultInboxBuffer(n, fanout int) int { return cluster.DefaultInboxBuffer(n, fanout+1) }
 
-// NodeMetrics are one node's counters for a streaming run.
+// NodeMetrics are one node's counters for a streaming run: the gossip
+// driver's shared counters plus the stream's own. In the shared part,
+// PacketsOut / PacketsIn count coded data packets only (acks are
+// counted separately), BitsOut covers data, acks and hellos,
+// Innovative counts received coded packets that grew a span, and
+// Done / DoneTick / DoneAt mark delivery of the final generation.
 type NodeMetrics struct {
-	// PacketsOut / PacketsIn count coded data packets only; acks are
-	// counted separately.
-	PacketsOut int64
-	PacketsIn  int64
-	AcksOut    int64
-	AcksIn     int64
-	// BitsOut is protocol bits sent (data and acks) under the
-	// simulator's Bits() accounting, wire framing excluded.
-	BitsOut int64
-	// Dropped counts Sends the transport reported undelivered.
-	Dropped int64
-	// Innovative counts received coded packets that grew a span.
-	Innovative int64
+	cluster.NodeMetrics
+	AcksOut int64
+	AcksIn  int64
 	// Stale counts received coded packets for generations already
 	// retired locally (or arriving before a joiner bootstrapped).
 	Stale int64
-	// HellosOut counts membership announcements sent (bits included in
-	// BitsOut). Always zero without churn.
-	HellosOut int64
 	// Delivered is the number of generations handed to the consumer
 	// (from StartGen onward for joiners).
 	Delivered int
-	Done      bool
-	// DoneTick / DoneAt mark delivery of the final generation
-	// (lockstep tick, async wall time).
-	DoneTick int
-	DoneAt   time.Duration
-	// Spawned marks ids that actually entered the run; Live is the
-	// node's membership at the end (false after a crash or leave).
-	Spawned bool
-	Live    bool
-	// JoinTick / JoinAt stamp the node's latest (re)entry: zero for
-	// founding members.
-	JoinTick int
-	JoinAt   time.Duration
 	// StartGen is where the node's delivery obligation started: 0 for
 	// founding members, the frontier learned at join time for joiners.
 	StartGen int
@@ -396,6 +373,42 @@ func (r *Result) DoneTimes() []float64 {
 	return out
 }
 
+// check validates the parameters Run and RunSingle share and returns
+// the run's Source.
+func (c Config) check() (Source, error) {
+	switch {
+	case c.N < 1:
+		return nil, fmt.Errorf("stream: need at least 1 node, got %d", c.N)
+	case c.K < 1:
+		return nil, fmt.Errorf("stream: need at least 1 token per generation, got %d", c.K)
+	case c.PayloadBits < 1:
+		return nil, fmt.Errorf("stream: need at least 1 payload bit, got %d", c.PayloadBits)
+	case c.Generations < 1:
+		return nil, fmt.Errorf("stream: need at least 1 generation, got %d", c.Generations)
+	case uint64(c.Generations) > wire.MaxEpoch: // Generations >= 1 here; uint64 keeps 32-bit builds compiling
+		// The generation number rides the 32-bit wire epoch; beyond it,
+		// generation g and g+2^32 would alias in ack/rank bookkeeping
+		// (the constructors panic rather than wrap — shard the stream).
+		return nil, fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", c.Generations, uint64(wire.MaxEpoch))
+	case c.Window < 0:
+		return nil, fmt.Errorf("stream: negative window %d", c.Window)
+	case c.Fanout < 0:
+		return nil, fmt.Errorf("stream: negative fanout %d", c.Fanout)
+	}
+	if err := c.Churn.Validate(); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	if c.Shards > 1 && !c.Lockstep {
+		return nil, fmt.Errorf("stream: Shards=%d requires Lockstep (the async driver is already concurrent)", c.Shards)
+	}
+
+	src := c.source()
+	if toks := src.Generation(0); len(toks) != c.K {
+		return nil, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), c.K)
+	}
+	return src, nil
+}
+
 // Run streams cfg.Generations generations of cfg.K tokens across an
 // n-node gossip cluster until every live node has decoded and
 // delivered the whole stream in order (joiners from the frontier they
@@ -403,89 +416,17 @@ func (r *Result) DoneTimes() []float64 {
 // or the lockstep tick cap is hit. Every delivered generation is
 // verified against the Source before Run returns it to the consumer.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	switch {
-	case cfg.N < 1:
-		return nil, fmt.Errorf("stream: need at least 1 node, got %d", cfg.N)
-	case cfg.K < 1:
-		return nil, fmt.Errorf("stream: need at least 1 token per generation, got %d", cfg.K)
-	case cfg.PayloadBits < 1:
-		return nil, fmt.Errorf("stream: need at least 1 payload bit, got %d", cfg.PayloadBits)
-	case cfg.Generations < 1:
-		return nil, fmt.Errorf("stream: need at least 1 generation, got %d", cfg.Generations)
-	case uint64(cfg.Generations) > wire.MaxEpoch: // Generations >= 1 here; uint64 keeps 32-bit builds compiling
-		// The generation number rides the 32-bit wire epoch; beyond it,
-		// generation g and g+2^32 would alias in ack/rank bookkeeping
-		// (the constructors panic rather than wrap — shard the stream).
-		return nil, fmt.Errorf("stream: %d generations exceed the 32-bit wire epoch space (%d)", cfg.Generations, uint64(wire.MaxEpoch))
-	case cfg.Window < 0:
-		return nil, fmt.Errorf("stream: negative window %d", cfg.Window)
-	case cfg.Fanout < 0:
-		return nil, fmt.Errorf("stream: negative fanout %d", cfg.Fanout)
+	src, err := cfg.check()
+	if err != nil {
+		return nil, err
 	}
-	if err := cfg.Churn.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+	if cfg.Transport == nil {
+		cfg.Transport = cluster.NewChanTransport(cfg.maxNodes(), cfg.DefaultInbox())
 	}
-	if cfg.Shards > 1 && !cfg.Lockstep {
-		return nil, fmt.Errorf("stream: Shards=%d requires Lockstep (the async driver is already concurrent)", cfg.Shards)
-	}
-
-	src := cfg.source()
-	if toks := src.Generation(0); len(toks) != cfg.K {
-		return nil, fmt.Errorf("stream: source produced %d tokens per generation, want K=%d", len(toks), cfg.K)
-	}
-
-	maxN := cfg.maxNodes()
-	tr := cfg.Transport
-	if tr == nil {
-		extra := 0
-		if cfg.Churn != nil {
-			extra = 1 // hello headroom; see cluster.InboxBuffer
-		}
-		tr = cluster.NewChanTransport(maxN, DefaultInboxBuffer(maxN, cfg.fanout()+extra))
-	}
-	defer tr.Close()
-
-	res := &Result{Nodes: make([]NodeMetrics, maxN)}
-	sr := &streamRun{
-		cfg:   cfg,
-		src:   src,
-		tr:    tr,
-		res:   res,
-		maxN:  maxN,
-		nodes: make([]*node, maxN),
-		live:  make([]bool, maxN),
-		ch:    cluster.NewChurner(cfg.Churn, cfg.N, maxN, cfg.Seed),
-	}
-	if cfg.Churn.HasTargeted() {
-		sr.ranks = make([]atomic.Int64, maxN)
-		sr.ch.SetRank(func(id int) int { return int(sr.ranks[id].Load()) })
-	}
-	if cfg.Lockstep {
-		sr.exec = shard.New(maxN, cfg.shards())
-		if sr.exec.Shards() > 1 {
-			sr.outs = make([]*cluster.Outbox, sr.exec.Shards())
-			for i := range sr.outs {
-				sr.outs[i] = &cluster.Outbox{}
-			}
-		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		sr.live[i] = true
-	}
-	for i := 0; i < cfg.N; i++ {
-		sr.nodes[i] = newNode(i, cfg, src, &res.Nodes[i], sr.live, 0, false)
-		sr.attach(sr.nodes[i])
-	}
-
-	start := time.Now()
-	var err error
-	if cfg.Lockstep {
-		err = sr.runLockstep(ctx)
-	} else {
-		err = sr.runAsync(ctx, start)
-	}
-	res.Elapsed = time.Since(start)
-
+	res := &Result{Nodes: make([]NodeMetrics, cfg.maxNodes())}
+	res.Completed, res.Ticks, res.Elapsed, err = cluster.Drive(ctx, cfg.driver(), func(p *cluster.Peer, joiner bool) cluster.Node {
+		return newNode(p, cfg, src, &res.Nodes[p.ID], joiner)
+	})
 	for _, m := range res.Nodes {
 		res.PacketsOut += m.PacketsOut
 		res.PacketsIn += m.PacketsIn
