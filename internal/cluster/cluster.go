@@ -548,7 +548,7 @@ func (mb *member) Recv(p *wire.Packet) bool {
 // Emit pushes up to fanout fresh packets to random view peers.
 func (mb *member) Emit() { mb.Gossip(mb.fanout, mb.fill) }
 
-// Push is Emit: a coded node answers innovation with fresh combinations.
+// Push is Emit: a cluster node answers innovation with fresh packets.
 func (mb *member) Push() { mb.Emit() }
 
 // fill draws the gossiper's next packet, stamped with the node's

@@ -579,11 +579,11 @@ func batchAdds(ops []ChurnOp) bool {
 	return false
 }
 
-// tracker is the async driver's completion accounting, designed for a
-// changing population: instead of a fixed countdown it re-evaluates
-// "is every live node done, with no membership additions pending"
-// under one mutex, which node goroutines update on completion and the
-// churn controller updates on every membership change.
+// tracker is the async driver's completion accounting for a changing
+// population: it re-evaluates "is every live node done, with no
+// membership additions pending" under one mutex, which node goroutines
+// update on completion and the churn controller updates on every
+// membership change.
 type tracker struct {
 	mu          sync.Mutex
 	peers       []*Peer

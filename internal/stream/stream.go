@@ -173,11 +173,11 @@ type Config struct {
 	// many workers over contiguous node-id ranges, with a serial
 	// exchange barrier replaying emissions in id order so transcripts
 	// stay bit-identical to the serial driver at every shard count (see
-	// DESIGN.md "Gossip driver"). 0 and 1
-	// both mean the serial engine; >1 requires Lockstep. On sharded runs
-	// Deliver is called concurrently from shard workers (distinct nodes
-	// only — per-node calls stay strictly ordered) and must be safe for
-	// concurrent use, exactly as in async mode.
+	// DESIGN.md "Gossip driver"). 0 and 1 both mean the serial engine;
+	// >1 requires Lockstep. On sharded runs Deliver is called
+	// concurrently from shard workers (distinct nodes only — per-node
+	// calls stay strictly ordered) and must be safe for concurrent use,
+	// exactly as in async mode.
 	Shards int
 	// MaxTicks caps a lockstep run (default 20000).
 	MaxTicks int
