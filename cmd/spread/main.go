@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -30,13 +31,13 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-	if err := run(*n, *d, *advName, *seed); err != nil {
+	if err := run(os.Stdout, *n, *d, *advName, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "spread:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n, d int, advName string, seed int64) error {
+func run(w io.Writer, n, d int, advName string, seed int64) error {
 	adv, err := adversary.Named(advName, n, seed)
 	if err != nil {
 		return err
@@ -54,14 +55,14 @@ func run(n, d int, advName string, seed int64) error {
 	if _, err := e.Run(); err != nil {
 		return err
 	}
-	fmt.Printf("coded indexed broadcast, n = k = %d, d = %d, adversary = %s, seed = %d\n\n", n, d, advName, seed)
-	fmt.Print(rec.Report())
+	fmt.Fprintf(w, "coded indexed broadcast, n = k = %d, d = %d, adversary = %s, seed = %d\n\n", n, d, advName, seed)
+	fmt.Fprint(w, rec.Report())
 	// The early-decoding onset makes the Section 5.2 shape concrete:
 	// ranks grow from round one, but tokens beyond a node's own initial
 	// one (mean >= 2) surface only once spans close in on full rank.
 	for _, s := range rec.Samples() {
 		if s.MeanDecodable >= 2 {
-			fmt.Printf("first round decoding a non-initial token (mean >= 2): %d\n", s.Round)
+			fmt.Fprintf(w, "first round decoding a non-initial token (mean >= 2): %d\n", s.Round)
 			break
 		}
 	}
