@@ -39,10 +39,12 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,14 +53,15 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/adversary"
 	"repro/internal/benchfmt"
+	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/svgplot"
-
-	"repro/internal/adversary"
+	"repro/internal/token"
 )
 
 func main() {
@@ -330,10 +333,17 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 	m, err := sim.Measure(func() error {
 		switch driver {
 		case "cluster":
-			res, err := cluster.SweepRun(cluster.SweepParams{
-				N: fx.n, K: fx.k, PayloadBits: fx.payload, Fanout: fx.fanout,
-				Loss: fx.loss, Churn: churn, Seed: fx.seed, Shards: fx.shards,
-			})
+			cfg := cluster.Config{
+				N: fx.n, Fanout: fx.fanout, Mode: cluster.Coded, Seed: fx.seed,
+				Lockstep: true, Shards: fx.shards, MaxTicks: 200000, Churn: churn,
+			}
+			tr, err := cliutil.BuildTransport(fx.n+churn.Joins(), cfg.DefaultInbox(), true, 0, 0, fx.loss, fx.seed)
+			if err != nil {
+				return err
+			}
+			cfg.Transport = tr
+			toks := token.RandomSet(fx.k, fx.payload, rand.New(rand.NewSource(fx.seed)))
+			res, err := cluster.Run(context.Background(), cfg, toks)
 			if err != nil {
 				return err
 			}
@@ -348,11 +358,17 @@ func measure(driver, param string, v float64, fx fixed) (row, error) {
 			}
 			tokens, ticks = float64(done*fx.k), res.Ticks
 		case "stream":
-			res, err := stream.SweepRun(stream.SweepParams{
+			cfg := stream.Config{
 				N: fx.n, K: fx.k, PayloadBits: fx.payload, Window: fx.window,
-				Generations: fx.gens, Fanout: fx.fanout, Loss: fx.loss,
-				Churn: churn, Seed: fx.seed, Shards: fx.shards,
-			})
+				Generations: fx.gens, Fanout: fx.fanout, Seed: fx.seed,
+				Lockstep: true, Shards: fx.shards, MaxTicks: 500000, Churn: churn,
+			}
+			tr, err := cliutil.BuildTransport(fx.n+churn.Joins(), cfg.DefaultInbox(), true, 0, 0, fx.loss, fx.seed)
+			if err != nil {
+				return err
+			}
+			cfg.Transport = tr
+			res, err := stream.Run(context.Background(), cfg)
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,8 @@
 // Command spread visualizes how information spreads through a dynamic
-// network round by round: it runs a coded indexed broadcast with a trace
-// recorder attached and prints the knowledge and innovation curves as
-// terminal sparklines — the Section 5.2 "wasted broadcasts" shape made
-// visible.
+// network round by round: it runs a coded indexed broadcast with a
+// telemetry recorder attached and prints the knowledge and innovation
+// curves as terminal sparklines — the Section 5.2 "wasted broadcasts"
+// shape made visible.
 //
 // Usage:
 //
@@ -20,7 +20,7 @@ import (
 	"repro/internal/dynnet"
 	"repro/internal/gf"
 	"repro/internal/rlnc"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -50,19 +50,19 @@ func run(w io.Writer, n, d int, advName string, seed int64) error {
 		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
 			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
 	}
-	rec := trace.NewRecorder(n)
+	rec := telemetry.New(telemetry.Config{Nodes: n})
 	e := dynnet.NewEngine(nodes, adv, dynnet.Config{BitBudget: n + d, Observer: rec})
 	if _, err := e.Run(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "coded indexed broadcast, n = k = %d, d = %d, adversary = %s, seed = %d\n\n", n, d, advName, seed)
-	fmt.Fprint(w, rec.Report())
+	fmt.Fprint(w, rec.Report(n))
 	// The early-decoding onset makes the Section 5.2 shape concrete:
 	// ranks grow from round one, but tokens beyond a node's own initial
 	// one (mean >= 2) surface only once spans close in on full rank.
-	for _, s := range rec.Samples() {
-		if s.MeanDecodable >= 2 {
-			fmt.Fprintf(w, "first round decoding a non-initial token (mean >= 2): %d\n", s.Round)
+	for _, s := range rec.TickStats() {
+		if s.MeanWatermark >= 2 {
+			fmt.Fprintf(w, "first round decoding a non-initial token (mean >= 2): %d\n", s.Tick)
 			break
 		}
 	}

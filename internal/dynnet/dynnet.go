@@ -19,10 +19,6 @@ import (
 	"repro/internal/shard"
 )
 
-// NodeID identifies a node; IDs are 0..n-1. The model gives nodes unique
-// O(log n)-bit UIDs, which we realize as their index.
-type NodeID = int
-
 // Message is anything a node broadcasts in a round. Bits reports the
 // message's size, which the engine checks against the round budget.
 type Message interface {
@@ -94,9 +90,9 @@ type Config struct {
 	Shards int
 }
 
-// Observer receives a callback after each executed round; the trace
-// package uses it to record spreading dynamics without touching the
-// protocols.
+// Observer receives a callback after each executed round;
+// telemetry.Recorder implements it to record spreading dynamics without
+// touching the protocols.
 type Observer interface {
 	ObserveRound(round int, g *graph.Graph, msgs []Message, nodes []Node)
 }

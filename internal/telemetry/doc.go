@@ -1,10 +1,13 @@
-// Package telemetry gives the gossip runtimes in-flight visibility:
-// a per-node, fixed-capacity ring buffer of protocol events (packet
-// send/recv/drop, span inserts with their innovative-or-not verdict,
-// generation retirement, frontier moves, membership churn) plus a
-// tick-bucketed time series of each node's protocol state (rank,
-// delivery watermark, inbox depth, live-view size) and, for the
-// socket runtime, the udpnet datagram accounting buckets.
+// Package telemetry is the one run recorder for the synchronous engine
+// and the gossip runtimes: a per-node, fixed-capacity ring buffer of
+// protocol events (packet send/recv/drop, span inserts with their
+// innovative-or-not verdict, generation retirement, frontier moves,
+// membership churn) plus a tick-bucketed time series of each node's
+// protocol state (rank, delivery watermark, inbox depth, live-view
+// size) and, for the socket runtime, the udpnet datagram accounting
+// buckets. A Recorder is also a dynnet.Observer, sampling every engine
+// round, and its round summaries (TickStats, InnovationCurve,
+// DecodableCurve, Report) read any recording alike.
 //
 // The package is built around one invariant: a nil *Recorder is the
 // disabled state, and every recording method is a nil-receiver no-op
@@ -43,11 +46,21 @@
 // writes just the text export; -debug-addr serves the live aggregate
 // counters over expvar alongside pprof.
 //
+// cmd/spread records the synchronous engine the same way and prints
+// the round summaries as terminal sparklines — mean knowledge, the
+// Section 5.2 innovation rate, and decodable tokens:
+//
+//	go run ./cmd/spread -n 64 -adv rotating-path
+//
 // Programmatic use is the same shape the CLIs wrap:
 //
 //	rec := telemetry.New(telemetry.Config{Nodes: n})
 //	res, err := cluster.Run(ctx, cluster.Config{..., Telemetry: rec}, toks)
 //	err = rec.WriteFiles("out", "cluster", false)
+//
+//	rec = telemetry.New(telemetry.Config{Nodes: n})
+//	_, err = dynnet.NewEngine(nodes, adv, dynnet.Config{Observer: rec}).Run()
+//	fmt.Print(rec.Report(k))
 //
 // See DESIGN.md ("Runtime telemetry") for the event taxonomy, the
 // ownership rules and the export schema.

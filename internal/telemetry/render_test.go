@@ -10,7 +10,7 @@ import (
 )
 
 func recordedRun() *Recorder {
-	r := New(Config{Nodes: 3, EventCap: 32})
+	r := New(Config{Nodes: 3, eventCap: 32})
 	for tick := int64(0); tick < 10; tick++ {
 		for id := 0; id < 3; id++ {
 			rank := int(tick) + id
@@ -27,7 +27,7 @@ func recordedRun() *Recorder {
 }
 
 func TestRankHeatmapCarryForward(t *testing.T) {
-	r := New(Config{Nodes: 2, SampleEvery: 1})
+	r := New(Config{Nodes: 2, sampleEvery: 1})
 	r.Sample(0, 0, 1, 0, 0, 2)
 	r.Sample(0, 4, 5, 0, 0, 2)
 	r.Sample(1, 2, 3, 0, 0, 2)

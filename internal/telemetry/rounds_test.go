@@ -1,19 +1,24 @@
-package trace
+package telemetry_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/cluster"
 	"repro/internal/dynnet"
 	"repro/internal/gf"
 	"repro/internal/rlnc"
+	"repro/internal/telemetry"
+	"repro/internal/token"
 )
 
-// runRecorded executes a small coded broadcast with a recorder attached.
-func runRecorded(t *testing.T, n int) *Recorder {
+// runRecorded executes a small, fully seeded coded broadcast (n = k)
+// on the synchronous engine with a recorder attached.
+func runRecorded(t *testing.T, n int) *telemetry.Recorder {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	nodes := make([]dynnet.Node, n)
@@ -24,7 +29,7 @@ func runRecorded(t *testing.T, n int) *Recorder {
 		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
 			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
 	}
-	rec := NewRecorder(n)
+	rec := telemetry.New(telemetry.Config{Nodes: n})
 	e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 2),
 		dynnet.Config{Observer: rec})
 	if _, err := e.Run(); err != nil {
@@ -34,20 +39,36 @@ func runRecorded(t *testing.T, n int) *Recorder {
 }
 
 func TestRecorderSamplesEveryRound(t *testing.T) {
-	rec := runRecorded(t, 12)
-	samples := rec.Samples()
-	if len(samples) == 0 {
+	const n = 12
+	rec := runRecorded(t, n)
+	stats := rec.TickStats()
+	if len(stats) == 0 {
 		t.Fatal("no samples")
 	}
-	for i, s := range samples {
-		if s.Round != i {
-			t.Fatalf("sample %d has round %d", i, s.Round)
+	for i, s := range stats {
+		if s.Tick != int64(i) {
+			t.Fatalf("stat %d has tick %d", i, s.Tick)
 		}
-		if s.MaxKnown < s.MinKnown {
+		if s.Nodes != n {
+			t.Fatalf("round %d: %d nodes sampled, want %d", i, s.Nodes, n)
+		}
+		if s.MaxRank < s.MinRank {
 			t.Fatalf("round %d: max < min", i)
 		}
-		if s.Edges < 11 {
-			t.Fatalf("round %d: %d edges for a connected 12-node graph", i, s.Edges)
+	}
+	for id := 0; id < n; id++ {
+		if got := len(rec.Samples(id)); got != len(stats) {
+			t.Fatalf("node %d has %d samples, want %d", id, got, len(stats))
+		}
+	}
+	// Each edge shows up in the View (degree) of both endpoints.
+	for i := range stats {
+		degrees := 0
+		for id := 0; id < n; id++ {
+			degrees += int(rec.Samples(id)[i].View)
+		}
+		if edges := degrees / 2; edges < n-1 {
+			t.Fatalf("round %d: %d edges for a connected %d-node graph", i, edges, n)
 		}
 	}
 }
@@ -55,36 +76,34 @@ func TestRecorderSamplesEveryRound(t *testing.T) {
 // TestKnowledgeMonotone asserts rank never decreases — the span is
 // monotone, so the recorded mean must be too.
 func TestKnowledgeMonotone(t *testing.T) {
-	rec := runRecorded(t, 12)
 	prev := 0.0
-	for _, s := range rec.Samples() {
-		if s.MeanKnown+1e-9 < prev {
-			t.Fatalf("mean knowledge decreased: %f -> %f", prev, s.MeanKnown)
+	for _, s := range runRecorded(t, 12).TickStats() {
+		if s.MeanRank+1e-9 < prev {
+			t.Fatalf("mean knowledge decreased: %f -> %f", prev, s.MeanRank)
 		}
-		prev = s.MeanKnown
+		prev = s.MeanRank
 	}
 }
 
 func TestCompletionRound(t *testing.T) {
 	rec := runRecorded(t, 12)
-	round, ok := rec.CompletionRound()
+	round, ok := rec.CompletionTick(12)
 	if !ok {
 		t.Fatal("run never completed")
 	}
 	if round <= 0 || round > 4*(12+12)+16 {
 		t.Errorf("completion round %d out of range", round)
 	}
-	last := rec.Samples()[len(rec.Samples())-1]
-	if last.Complete != 12 {
-		t.Errorf("final complete count %d, want 12", last.Complete)
+	stats := rec.TickStats()
+	if last := stats[len(stats)-1]; last.MinRank != 12 || last.Nodes != 12 {
+		t.Errorf("final round: %d nodes with min rank %d, want 12 complete", last.Nodes, last.MinRank)
 	}
 }
 
 // TestInnovationDecays checks the Section 5.2 shape: the first half of
 // the run carries at least as much innovation as the second half.
 func TestInnovationDecays(t *testing.T) {
-	rec := runRecorded(t, 16)
-	curve := rec.InnovationCurve()
+	curve := runRecorded(t, 16).InnovationCurve()
 	if len(curve) < 4 {
 		t.Skip("run too short")
 	}
@@ -116,52 +135,29 @@ func TestSparkline(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := Sparkline(tt.values, tt.width)
+			got := telemetry.Sparkline(tt.values, tt.width)
 			if n := len([]rune(got)); n != tt.want {
 				t.Errorf("rune count = %d, want %d (%q)", n, tt.want, got)
 			}
 		})
 	}
 	// A ramp must end on the tallest bar.
-	ramp := Sparkline([]float64{0, 1, 2, 3}, 4)
+	ramp := telemetry.Sparkline([]float64{0, 1, 2, 3}, 4)
 	if !strings.HasSuffix(ramp, "█") {
 		t.Errorf("ramp %q does not end at full height", ramp)
 	}
 }
 
 func TestReportRenders(t *testing.T) {
-	rec := runRecorded(t, 8)
-	rep := rec.Report()
+	rep := runRecorded(t, 8).Report(8)
 	for _, want := range []string{"rounds observed", "complete at round", "mean knowledge", "innovation rate"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if empty := NewRecorder(0).Report(); !strings.Contains(empty, "no samples") {
+	if empty := telemetry.New(telemetry.Config{Nodes: 1}).Report(0); !strings.Contains(empty, "no samples") {
 		t.Error("empty recorder report wrong")
 	}
-}
-
-// runRecordedN is runRecorded with an explicit node count and fully
-// pinned seeds, the fixture for the golden assertions below.
-func runRecordedN(t *testing.T, n int) *Recorder {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	nodes := make([]dynnet.Node, n)
-	const d = 8
-	schedule := rlnc.DefaultSchedule(n, n)
-	for i := 0; i < n; i++ {
-		nrng := rand.New(rand.NewSource(int64(i + 10)))
-		nodes[i] = rlnc.NewBroadcastNode(n, d, schedule,
-			[]rlnc.Coded{rlnc.Encode(i, n, gf.RandomBitVec(d, rng.Uint64))}, nrng)
-	}
-	rec := NewRecorder(n)
-	e := dynnet.NewEngine(nodes, adversary.NewRandomConnected(n, n/2, 2),
-		dynnet.Config{Observer: rec})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }
 
 // TestDecodableCurveGolden pins the round-curve output of a small fully
@@ -170,18 +166,21 @@ func runRecordedN(t *testing.T, n int) *Recorder {
 // and the saturation at k are the Section 5.2 "late reveal" shape the
 // curve exists to expose.
 func TestDecodableCurveGolden(t *testing.T) {
-	rec := runRecordedN(t, 6)
-	samples := rec.Samples()
-	if len(samples) != 64 {
-		t.Fatalf("samples = %d, want the full 64-round schedule", len(samples))
+	rec := runRecorded(t, 6)
+	total := 0
+	for id := 0; id < 6; id++ {
+		total += len(rec.Samples(id))
 	}
-	if round, ok := rec.CompletionRound(); !ok || round != 7 {
+	if rounds := len(rec.TickStats()); rounds != 64 || total != 6*64 {
+		t.Fatalf("rounds = %d, samples = %d, want the full 64-round schedule on 6 nodes", rounds, total)
+	}
+	if round, ok := rec.CompletionTick(6); !ok || round != 7 {
 		t.Errorf("completion round = %d (ok=%v), want 7", round, ok)
 	}
 
 	curve := rec.DecodableCurve()
-	if len(curve) != len(samples) {
-		t.Fatalf("curve length %d != samples %d", len(curve), len(samples))
+	if len(curve) != 64 {
+		t.Fatalf("curve length %d != 64 rounds", len(curve))
 	}
 	wantHead := []float64{2.5, 2.5, 3, 13.0 / 3, 14.0 / 3, 16.0 / 3, 16.0 / 3, 6}
 	for i, want := range wantHead {
@@ -205,8 +204,8 @@ func TestDecodableCurveGolden(t *testing.T) {
 
 	wantInno := []float64{0, 2.0 / 3, 4.0 / 3, 1.0 / 3, 2.0 / 3, 0, 0.5, 0}
 	inno := rec.InnovationCurve()
-	if len(inno) != len(samples)-1 {
-		t.Fatalf("innovation length %d, want %d", len(inno), len(samples)-1)
+	if len(inno) != 63 {
+		t.Fatalf("innovation length %d, want 63", len(inno))
 	}
 	for i, want := range wantInno {
 		if math.Abs(inno[i]-want) > 1e-9 {
@@ -214,7 +213,49 @@ func TestDecodableCurveGolden(t *testing.T) {
 		}
 	}
 
-	if got, want := Sparkline(curve, 20), "▁▅▇█████████████████"; got != want {
+	if got, want := telemetry.Sparkline(curve, 20), "▁▅▇█████████████████"; got != want {
 		t.Errorf("decodable sparkline %q, want %q", got, want)
+	}
+}
+
+// TestSummariesOnClusterLockstep runs the round summaries on a gossip
+// runtime recording: a churnless lockstep cluster run samples every
+// live node each tick, so span-rank monotonicity carries over to the
+// mean, and the report renders from the same samples the heatmaps use.
+func TestSummariesOnClusterLockstep(t *testing.T) {
+	const n, k = 16, 8
+	rec := telemetry.New(telemetry.Config{Nodes: n})
+	toks := token.RandomSet(k, 32, rand.New(rand.NewSource(4)))
+	res, err := cluster.Run(context.Background(), cluster.Config{
+		N: n, Fanout: 2, Mode: cluster.Coded, Seed: 4, Lockstep: true, Telemetry: rec,
+	}, toks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("run incomplete")
+	}
+	stats := rec.TickStats()
+	if len(stats) != res.Ticks {
+		t.Fatalf("%d sampled ticks, run took %d", len(stats), res.Ticks)
+	}
+	prev := 0.0
+	for _, s := range stats {
+		if s.Nodes != n {
+			t.Fatalf("tick %d: %d nodes sampled, want %d", s.Tick, s.Nodes, n)
+		}
+		if s.MeanRank < prev {
+			t.Fatalf("tick %d: mean rank decreased %f -> %f", s.Tick, prev, s.MeanRank)
+		}
+		prev = s.MeanRank
+	}
+	if prev <= stats[0].MeanRank {
+		t.Errorf("mean rank never grew: %f -> %f", stats[0].MeanRank, prev)
+	}
+	rep := rec.Report(k)
+	for _, want := range []string{"rounds observed", "mean knowledge", "innovation rate"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("report missing %q:\n%s", want, rep)
+		}
 	}
 }

@@ -88,19 +88,22 @@ type Event struct {
 	A, B, C int64
 }
 
-// Sample is one time-series point of a node's protocol state.
+// Sample is one time-series point of a node's protocol state. Under
+// the synchronous engine (ObserveRound) Tick is the round number and
+// each column reads as noted in brackets.
 type Sample struct {
 	Tick int64
 	// Rank is the node's decoding progress: span rank (cluster), or
 	// the rank of the generation at the delivery watermark (stream).
+	// [Knowledge: span rank or token-set size.]
 	Rank int32
 	// Watermark is the node's delivery watermark (stream; zero for
-	// cluster runs).
+	// cluster runs). [Tokens a coded node can already decode.]
 	Watermark int32
 	// Inbox is the queued-packet depth of the node's inbox at sample
-	// time.
+	// time. [Non-nil neighbour messages of the round.]
 	Inbox int32
-	// View is the node's live-view size.
+	// View is the node's live-view size. [Degree in the round's graph.]
 	View int32
 }
 
@@ -124,38 +127,42 @@ type NetSample struct {
 type Config struct {
 	// Nodes is the run's node id space (Config.N plus churn joins).
 	Nodes int
-	// EventCap is the per-node event ring capacity (default 4096).
-	// Once full, the oldest events are overwritten; Dropped counts the
-	// overwrites.
-	EventCap int
-	// MaxSamples caps the per-node time series (default 65536); beyond
+
+	// The remaining fields are zero (the defaults) outside this
+	// package's tests, which shrink them to exercise the limits.
+
+	// eventCap is the per-node event ring capacity (default 4096).
+	// Once full, the oldest events are overwritten; Counters reports the
+	// overwrites as events_overwritten.
+	eventCap int
+	// maxSamples caps the per-node time series (default 65536); beyond
 	// it new samples are discarded (the series covers the run's start,
 	// the ring covers its end).
-	MaxSamples int
-	// SampleEvery thins lockstep sampling: SampleTick records only
+	maxSamples int
+	// sampleEvery thins lockstep sampling: SampleTick records only
 	// ticks divisible by it (default 1 = every tick). Async sampling
 	// (Sample) is already paced by the emission interval and ignores
 	// it.
-	SampleEvery int
+	sampleEvery int
 }
 
-func (c Config) eventCap() int {
-	if c.EventCap > 0 {
-		return c.EventCap
+func (c Config) ringSize() int {
+	if c.eventCap > 0 {
+		return c.eventCap
 	}
 	return 4096
 }
 
-func (c Config) maxSamples() int {
-	if c.MaxSamples > 0 {
-		return c.MaxSamples
+func (c Config) seriesCap() int {
+	if c.maxSamples > 0 {
+		return c.maxSamples
 	}
 	return 65536
 }
 
-func (c Config) sampleEvery() int64 {
-	if c.SampleEvery > 1 {
-		return int64(c.SampleEvery)
+func (c Config) stride() int64 {
+	if c.sampleEvery > 1 {
+		return int64(c.sampleEvery)
 	}
 	return 1
 }
@@ -234,7 +241,7 @@ func (r *Recorder) Event(node int, tick int64, k Kind, a, b, c int64) {
 	}
 	nr := &r.recs[node]
 	if nr.ring == nil {
-		nr.ring = make([]Event, r.cfg.eventCap())
+		nr.ring = make([]Event, r.cfg.ringSize())
 	}
 	nr.ring[nr.head] = Event{Tick: tick, Kind: k, A: a, B: b, C: c}
 	nr.head++
@@ -288,7 +295,7 @@ func (r *Recorder) Sample(node int, tick int64, rank, watermark, inbox, view int
 		return
 	}
 	nr := &r.recs[node]
-	if len(nr.samples) >= r.cfg.maxSamples() {
+	if len(nr.samples) >= r.cfg.seriesCap() {
 		r.samplesDropped.Add(1)
 		return
 	}
@@ -306,9 +313,9 @@ func (r *Recorder) Sample(node int, tick int64, rank, watermark, inbox, view int
 }
 
 // SampleTick is Sample under the lockstep drivers: it thins to every
-// Config.SampleEvery-th tick so long deterministic runs stay cheap.
+// sampleEvery-th tick so long deterministic runs stay cheap.
 func (r *Recorder) SampleTick(node int, tick int64, rank, watermark, inbox, view int) {
-	if r == nil || tick%r.cfg.sampleEvery() != 0 {
+	if r == nil || tick%r.cfg.stride() != 0 {
 		return
 	}
 	r.Sample(node, tick, rank, watermark, inbox, view)

@@ -27,7 +27,7 @@ func TestKindNamesStable(t *testing.T) {
 }
 
 func TestEventRingOverwrite(t *testing.T) {
-	r := New(Config{Nodes: 2, EventCap: 4})
+	r := New(Config{Nodes: 2, eventCap: 4})
 	for i := 0; i < 7; i++ {
 		r.Event(0, int64(i), KindSend, int64(i), 0, 0)
 	}
@@ -61,7 +61,7 @@ func TestEventOutOfRangeIgnored(t *testing.T) {
 }
 
 func TestSampleTickThinning(t *testing.T) {
-	r := New(Config{Nodes: 1, SampleEvery: 4})
+	r := New(Config{Nodes: 1, sampleEvery: 4})
 	for tick := int64(0); tick < 10; tick++ {
 		r.SampleTick(0, tick, int(tick), 0, 0, 3)
 	}
@@ -77,7 +77,7 @@ func TestSampleTickThinning(t *testing.T) {
 }
 
 func TestSampleCap(t *testing.T) {
-	r := New(Config{Nodes: 1, MaxSamples: 3})
+	r := New(Config{Nodes: 1, maxSamples: 3})
 	for tick := int64(0); tick < 5; tick++ {
 		r.Sample(0, tick, 0, 0, 0, 0)
 	}
@@ -90,7 +90,7 @@ func TestSampleCap(t *testing.T) {
 }
 
 func TestWriteTextSchema(t *testing.T) {
-	r := New(Config{Nodes: 2, EventCap: 8})
+	r := New(Config{Nodes: 2, eventCap: 8})
 	r.SetMeta("driver", "lockstep")
 	r.SetMeta("n", "2")
 	r.Sample(0, 0, 1, 0, 2, 2)
@@ -165,7 +165,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 // warm, recording events allocates nothing (overwrite-oldest, no
 // growth).
 func TestEnabledSteadyStateZeroAlloc(t *testing.T) {
-	r := New(Config{Nodes: 4, EventCap: 64})
+	r := New(Config{Nodes: 4, eventCap: 64})
 	r.Event(1, 0, KindSend, 0, 0, 0) // warm the ring
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Event(1, 1, KindSend, 2, 0, 96)

@@ -71,10 +71,6 @@ const Version = 1
 // HeaderBytes is the size of the envelope header on the wire.
 const HeaderBytes = 10
 
-// HeaderBits is the envelope overhead in bits, for cost accounting that
-// wants to charge framing on top of Packet.Bits().
-const HeaderBits = HeaderBytes * 8
-
 // MaxVecBits caps the bit length the decoder accepts for a coded vector
 // or token payload. It is far above anything the experiments use and
 // exists only to bound decoder work on adversarial input.
@@ -323,7 +319,7 @@ func NewAnnounce(sender, epoch int, a Announce) Packet {
 // Bits returns the wrapped message's size under the simulator's
 // accounting (rlnc.Coded.Bits or token.Token.Bits), which is what makes
 // wire costs comparable with dynnet.Metrics. Framing overhead is
-// excluded; see HeaderBits and WireBytes.
+// excluded; see HeaderBytes and WireBytes.
 func (p Packet) Bits() int {
 	switch p.Env.Type {
 	case TypeCoded:
