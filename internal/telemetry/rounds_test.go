@@ -71,6 +71,10 @@ func TestRecorderSamplesEveryRound(t *testing.T) {
 			t.Fatalf("round %d: %d edges for a connected %d-node graph", i, edges, n)
 		}
 	}
+	// The runtime views read engine recordings as they are.
+	if h := rec.RankHeatmap(8); len(h.Values) != n {
+		t.Errorf("heatmap has %d rows, want %d", len(h.Values), n)
+	}
 }
 
 // TestKnowledgeMonotone asserts rank never decreases — the span is
