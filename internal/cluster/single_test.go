@@ -137,3 +137,28 @@ func TestRunSingleKnownGate(t *testing.T) {
 		t.Errorf("node emitted %d packets with an empty address book", m.PacketsOut)
 	}
 }
+
+// TestRunSingleLingersThenReturns pins the linger window: a lone node
+// completes at Prime, keeps running for Linger, and then returns well
+// before its Timeout with Done set and no error.
+func TestRunSingleLingersThenReturns(t *testing.T) {
+	const linger = 100 * time.Millisecond
+	toks := testTokens(4, 16, 3)
+	tr := NewChanTransport(1, InboxBuffer(1, 2))
+	defer tr.Close()
+	start := time.Now()
+	m, err := RunSingle(context.Background(), SingleConfig{
+		ID: 0, N: 1, Seed: 1, Transport: tr,
+		Timeout: 10 * time.Second, Linger: linger,
+	}, toks)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("lone node errored: %v", err)
+	}
+	if !m.Done {
+		t.Error("lone node holding every token did not complete")
+	}
+	if elapsed < linger || elapsed >= 5*time.Second {
+		t.Errorf("returned after %v, want in [%v, 5s)", elapsed, linger)
+	}
+}

@@ -73,3 +73,27 @@ func TestStreamRunSingleValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamRunSingleLingersThenReturns pins the linger window for the
+// stream protocol: a lone node delivers every generation at Prime,
+// keeps running for Linger, and then returns well before its Timeout.
+func TestStreamRunSingleLingersThenReturns(t *testing.T) {
+	const linger, gens = 100 * time.Millisecond, 3
+	tr := cluster.NewChanTransport(1, InboxBuffer(1, 2))
+	defer tr.Close()
+	start := time.Now()
+	m, err := RunSingle(context.Background(), SingleConfig{
+		ID: 0, N: 1, K: 4, PayloadBits: 16, Generations: gens, Seed: 1,
+		Transport: tr, Timeout: 10 * time.Second, Linger: linger,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("lone node errored: %v", err)
+	}
+	if !m.Done || m.Delivered != gens {
+		t.Errorf("lone node: done=%v delivered=%d, want done with %d", m.Done, m.Delivered, gens)
+	}
+	if elapsed < linger || elapsed >= 5*time.Second {
+		t.Errorf("returned after %v, want in [%v, 5s)", elapsed, linger)
+	}
+}
