@@ -88,48 +88,55 @@ type options struct {
 	debugAddr string
 }
 
+// newFlags declares every flag on a fresh FlagSet bound to the
+// returned options, so tests can parse the defaults without a process.
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{}
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "UDP address to bind (host:port; port 0 = ephemeral)")
+	fs.StringVar(&o.bootstrap, "bootstrap", "", "a peer's UDP address to learn the membership from (empty = this IS the bootstrap node)")
+	fs.IntVar(&o.id, "id", 0, "this node's id in [0, n)")
+	fs.IntVar(&o.n, "n", 3, "total number of node processes")
+	fs.StringVar(&o.mode, "mode", "cluster", "runtime: cluster (one-shot dissemination) | stream (windowed generations)")
+	fs.IntVar(&o.k, "k", 32, "tokens to disseminate (cluster) or generation size (stream)")
+	fs.IntVar(&o.payload, "payload", 128, "token payload size in bits")
+	fs.IntVar(&o.fanout, "fanout", 2, "peers contacted per emission")
+	fs.Int64Var(&o.seed, "seed", 1, "shared seed; all processes must agree (tokens derive from it)")
+	fs.IntVar(&o.window, "window", 4, "stream: maximum concurrent generations")
+	fs.IntVar(&o.generations, "generations", 8, "stream: number of generations")
+	fs.DurationVar(&o.interval, "interval", 2*time.Millisecond, "emission pacing")
+	fs.DurationVar(&o.timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
+	fs.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
+	fs.Float64Var(&o.loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
+	fs.DurationVar(&o.delay, "delay", 0, "injected per-packet latency upper bound")
+	fs.Float64Var(&o.reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
+	fs.StringVar(&o.adversary, "adversary", "", `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`)
+	fs.StringVar(&o.mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
+	fs.StringVar(&o.metrics, "metrics", "", "write key=value metrics to this file")
+	fs.StringVar(&o.trace, "trace", "", "trace the run and render node<id>-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
+	fs.StringVar(&o.telem, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (host:port; port 0 = ephemeral)")
+	return fs, o
+}
+
 func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "UDP address to bind (host:port; port 0 = ephemeral)")
-	flag.StringVar(&o.bootstrap, "bootstrap", "", "a peer's UDP address to learn the membership from (empty = this IS the bootstrap node)")
-	flag.IntVar(&o.id, "id", 0, "this node's id in [0, n)")
-	flag.IntVar(&o.n, "n", 2, "total number of node processes")
-	flag.StringVar(&o.mode, "mode", "cluster", "runtime: cluster (one-shot dissemination) | stream (windowed generations)")
-	flag.IntVar(&o.k, "k", 32, "tokens to disseminate (cluster) or generation size (stream)")
-	flag.IntVar(&o.payload, "payload", 128, "token payload size in bits")
-	flag.IntVar(&o.fanout, "fanout", 2, "peers contacted per emission")
-	flag.Int64Var(&o.seed, "seed", 1, "shared seed; all processes must agree (tokens derive from it)")
-	flag.IntVar(&o.window, "window", 4, "stream: maximum concurrent generations")
-	flag.IntVar(&o.generations, "generations", 8, "stream: number of generations")
-	flag.DurationVar(&o.interval, "interval", 2*time.Millisecond, "emission pacing")
-	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "wall-clock cap for bootstrap and for the run")
-	flag.DurationVar(&o.linger, "linger", 2*time.Second, "keep gossiping this long after local completion")
-	flag.Float64Var(&o.loss, "loss", 0, "injected packet loss rate in [0,1), above the socket")
-	flag.DurationVar(&o.delay, "delay", 0, "injected per-packet latency upper bound")
-	flag.Float64Var(&o.reorder, "reorder", 0, "injected packet reordering rate in [0,1)")
-	flag.StringVar(&o.adversary, "adversary", "", `topology adversary name[:params] (random | rotating-path | static-<topology> | tstable:<T> | tinterval:<T> | adaptive | trace:<file>)`)
-	flag.StringVar(&o.mutate, "mutate", "", `hostile-packet mutation spec, e.g. "dup:0.05,stale:0.1" (ops: dup|stale|trunc|flip|xgen|all)`)
-	flag.StringVar(&o.metrics, "metrics", "", "write key=value metrics to this file")
-	flag.StringVar(&o.trace, "trace", "", "trace the run and render node<id>-{telemetry.txt,heatmap.svg,timeline.svg,packetflow.svg} into this directory")
-	flag.StringVar(&o.telem, "telemetry", "", "trace the run and write the telemetry v1 text export to this file")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (host:port; port 0 = ephemeral)")
-	flag.Parse()
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
 	// SIGTERM joins SIGINT so a `kill` (what launchers and CI send)
 	// drains through the same cancellation path and still flushes the
 	// metrics file.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Stdout, o); err != nil {
+	if err := run(ctx, os.Stdout, *o); err != nil {
 		fmt.Fprintf(os.Stderr, "node %d: %v\n", o.id, err)
 		os.Exit(1)
 	}
 }
 
-// run is the whole process body behind the flag surface, testable
-// without forking: validate, bind, bootstrap, gossip, report.
-func run(ctx context.Context, w io.Writer, o options) error {
-	streamMode, err := cliutil.ParseMode(o.mode)
-	if err != nil {
+// validate checks the flags before anything is bound; every error
+// names the offending flag.
+func validate(o options) error {
+	if _, err := cliutil.ParseMode(o.mode); err != nil {
 		return err
 	}
 	if err := cliutil.ValidateHostPort("-addr", o.addr); err != nil {
@@ -143,9 +150,16 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	if err := cliutil.ValidateNodeID(o.id, o.n); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateGossip(o.n, o.k, o.payload, o.fanout, o.loss, o.reorder); err != nil {
+	return cliutil.ValidateGossip(o.n, o.k, o.payload, o.fanout, o.loss, o.reorder)
+}
+
+// run is the whole process body behind the flag surface, testable
+// without forking: validate, bind, bootstrap, gossip, report.
+func run(ctx context.Context, w io.Writer, o options) error {
+	if err := validate(o); err != nil {
 		return err
 	}
+	streamMode, _ := cliutil.ParseMode(o.mode) // validated above
 
 	tr, err := udpnet.Dial(udpnet.Config{ID: o.id, Nodes: o.n, Addr: o.addr, Bootstrap: o.bootstrap})
 	if err != nil {
@@ -304,16 +318,15 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		defer stopSampler()
 	}
 
+	one := cluster.SingleConfig{ID: o.id, Known: tr.Known, Linger: o.linger}
 	var done bool
 	if streamMode {
-		m, err := stream.RunSingle(ctx, stream.SingleConfig{
-			ID: o.id, N: o.n, K: o.k, PayloadBits: o.payload,
+		m, err := stream.RunSingle(ctx, stream.Config{
+			N: o.n, K: o.k, PayloadBits: o.payload,
 			Window: o.window, Generations: o.generations,
-			Fanout: o.fanout, Seed: o.seed,
-			Transport: wrapped, Known: tr.Known,
-			Interval: o.interval, Timeout: o.timeout, Linger: o.linger,
-			Telemetry: rec,
-		})
+			Fanout: o.fanout, Seed: o.seed, Transport: wrapped,
+			Interval: o.interval, Timeout: o.timeout, Telemetry: rec,
+		}, one)
 		if err != nil {
 			return err
 		}
@@ -332,12 +345,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		fmt.Fprintf(w, "DONE id=%d ok=%v delivered=%d packets_out=%d\n", o.id, m.Done, m.Delivered, m.PacketsOut)
 	} else {
 		toks := token.RandomSet(o.k, o.payload, rand.New(rand.NewSource(o.seed)))
-		m, err := cluster.RunSingle(ctx, cluster.SingleConfig{
-			ID: o.id, N: o.n, Fanout: o.fanout, Mode: cluster.Coded, Seed: o.seed,
-			Transport: wrapped, Known: tr.Known,
-			Interval: o.interval, Timeout: o.timeout, Linger: o.linger,
-			Telemetry: rec,
-		}, toks)
+		m, err := cluster.RunSingle(ctx, cluster.Config{
+			N: o.n, Fanout: o.fanout, Mode: cluster.Coded, Seed: o.seed, Transport: wrapped,
+			Interval: o.interval, Timeout: o.timeout, Telemetry: rec,
+		}, one, toks)
 		if err != nil {
 			return err
 		}

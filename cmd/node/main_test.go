@@ -53,6 +53,18 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultFlagsValidate pins that a bare `node -id 0` is a valid
+// configuration: the parsed flag defaults must pass validate.
+func TestDefaultFlagsValidate(t *testing.T) {
+	fs, o := newFlags()
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := validate(*o); err != nil {
+		t.Errorf("flag defaults fail validation: %v", err)
+	}
+}
+
 // TestRunRejectsNegativeDelay pins that the middleware knobs are
 // validated even though they live behind WrapHostile: a negative
 // -delay must fail the run, not silently mean "no delay".

@@ -148,8 +148,8 @@ func BuildTransport(n, buffer int, lockstep bool, delay time.Duration, reorder, 
 // canonical order (loss over reorder over delay) with the shared
 // per-middleware seed offsets. Zero-valued knobs add no layer, so the
 // bare transport passes through untouched; note that any wrapping hides
-// optional interfaces like cluster.AddressedTransport, so callers that
-// need Known must capture it before wrapping.
+// the wrapped transport's other methods, so callers that need the socket
+// transport's Known must capture it before wrapping.
 func WrapHostile(tr cluster.Transport, delay time.Duration, reorder, loss float64, seed int64) (cluster.Transport, error) {
 	switch {
 	case delay < 0:

@@ -18,7 +18,9 @@
 //     across workers, so a run is a pure function of Config.Seed —
 //     reproducible trials for tests and for experiment E11.
 //
-//   - Single node (RunSingle): one node of a multi-process run.
+//   - Single node (RunSingle, RunNode): one node of a multi-process
+//     run on the async shape's node loop, configured by the run's own
+//     Config plus a SingleConfig (ID, Known, Linger).
 //
 // The driver is generic over the small Node interface; internal/stream
 // runs its windowed multi-generation protocol on it through Drive and

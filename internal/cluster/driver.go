@@ -30,8 +30,8 @@ type Node interface {
 	// Emit fills one emission slot: the lockstep emit phase and every
 	// async ticker beat.
 	Emit()
-	// Push reacts to a receipt that made progress (async and
-	// single-node drivers only).
+	// Push reacts to a receipt that made progress (the async loop
+	// only).
 	Push()
 	// Complete reports whether the node holds everything the run
 	// disseminates.
@@ -264,8 +264,8 @@ func (p *Peer) sample(nd Node, lockstep bool) {
 	}
 }
 
-// driver is the run state shared by the lockstep, async and
-// single-node loops: the node table (indexed by id over the whole id
+// driver is the run state shared by the lockstep and async drivers
+// and RunNode: the node table (indexed by id over the whole id
 // space, nil until spawned), the live set, and the churner applying
 // the membership script.
 type driver struct {
@@ -593,13 +593,10 @@ type tracker struct {
 	closed      bool
 }
 
-// markDone records a node's completion. Done is only set by the node's
-// own goroutine (and cleared by the churn controller while no goroutine
-// runs the node), so the owner may test it without the lock.
-func (t *tracker) markDone(m *NodeMetrics, nd Node, at time.Duration) {
-	if m.Done || !nd.Complete() {
-		return
-	}
+// markDone records a node's completion edge. Done is only set by the
+// node's own goroutine (and cleared by the churn controller while no
+// goroutine runs the node), so the owner may test it without the lock.
+func (t *tracker) markDone(m *NodeMetrics, at time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m.Done = true
@@ -621,9 +618,70 @@ func (t *tracker) check() {
 	close(t.allDone)
 }
 
-// runAsync is the goroutine-per-node execution: ticker-paced emission
-// plus an immediate Push after every receipt that made progress, with
-// a churn controller goroutine applying membership events at
+// loop is the async node body, shared by every node goroutine of
+// runAsync and by RunNode's one node: ticker-paced emission plus an
+// immediate Push after every receipt that made progress, with the
+// clock in nanoseconds since start. A node announcing itself (a joiner
+// or restart) says hello to its view before Prime. After every step
+// the node's rank is published and Err is checked; at the node's
+// completion edge (Complete with Done still unset) done records
+// completion at the given offset from start, and may fail the loop with
+// its error. On cancellation a node whose leaving flag is set says
+// goodbye before loop returns nil.
+func (d *driver) loop(ctx context.Context, id int, start time.Time, announce bool, leaving *atomic.Bool, done func(at time.Duration) error) error {
+	p, nd := d.peers[id], d.nodes[id]
+	since := func() int64 { return int64(time.Since(start)) }
+	step := func() error {
+		d.publish(id)
+		if err := nd.Err(); err != nil {
+			return err
+		}
+		if p.M.Done || !nd.Complete() {
+			return nil
+		}
+		return done(time.Since(start))
+	}
+	p.Now = since()
+	if announce {
+		p.helloAll(false)
+	}
+	nd.Prime()
+	if err := step(); err != nil { // n == 1, or a node seeded with everything
+		return err
+	}
+	inbox := d.tr.Recv(id)
+	ticker := time.NewTicker(d.cfg.interval())
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			if leaving != nil && leaving.Load() {
+				p.Now = since()
+				p.helloAll(true)
+			}
+			return nil
+		case raw := <-inbox:
+			p.Now = since()
+			if !p.recv(nd, raw) {
+				continue
+			}
+			if err := step(); err != nil {
+				return err
+			}
+			nd.Push()
+		case <-ticker.C:
+			p.Now = since()
+			p.sample(nd, false)
+			nd.Emit()
+			if err := step(); err != nil { // emission-side progress can finish a node
+				return err
+			}
+		}
+	}
+}
+
+// runAsync is the goroutine-per-node execution: every node runs loop,
+// with a churn controller goroutine applying membership events at
 // At×Interval wall offsets — canceling crashed/leaving nodes (and
 // joining on their exit before flipping liveness, so node state never
 // has two owners) and spawning joiners. A node error is reported on
@@ -639,10 +697,7 @@ func (d *driver) runAsync(ctx context.Context, start time.Time) error {
 	errCh := make(chan error, maxN)
 	cancels := make([]context.CancelFunc, maxN)
 	exited := make([]chan struct{}, maxN)
-	var leaving []atomic.Bool
-	if d.ch != nil {
-		leaving = make([]atomic.Bool, maxN)
-	}
+	leaving := make([]atomic.Bool, maxN)
 	since := func() int64 { return int64(time.Since(start)) }
 
 	var wg sync.WaitGroup
@@ -655,57 +710,14 @@ func (d *driver) runAsync(ctx context.Context, start time.Time) error {
 		go func() {
 			defer wg.Done()
 			defer close(stop)
-			p, nd := d.peers[id], d.nodes[id]
-			fail := func() bool {
-				err := nd.Err()
-				if err == nil {
-					return false
-				}
+			m := d.peers[id].M
+			err := d.loop(nodeCtx, id, start, announce, &leaving[id], func(at time.Duration) error {
+				tk.markDone(m, at)
+				return nil
+			})
+			if err != nil {
 				errCh <- err
 				cancel()
-				return true
-			}
-			markDone := func() { tk.markDone(p.M, nd, time.Since(start)) }
-			p.Now = since()
-			if announce {
-				p.helloAll(false)
-			}
-			nd.Prime()
-			d.publish(id)
-			if fail() {
-				return
-			}
-			markDone() // n == 1, or a node seeded with everything
-			ticker := time.NewTicker(cfg.interval())
-			defer ticker.Stop()
-			for {
-				select {
-				case <-nodeCtx.Done():
-					if leaving != nil && leaving[id].Load() {
-						p.Now = since()
-						p.helloAll(true)
-					}
-					return
-				case raw := <-d.tr.Recv(id):
-					p.Now = since()
-					if p.recv(nd, raw) {
-						d.publish(id)
-						if fail() {
-							return
-						}
-						markDone()
-						nd.Push()
-					}
-				case <-ticker.C:
-					p.Now = since()
-					p.sample(nd, false)
-					nd.Emit()
-					d.publish(id)
-					if fail() {
-						return
-					}
-					markDone() // emission-side progress can finish a node
-				}
 			}
 		}()
 	}

@@ -18,8 +18,8 @@ import "repro/internal/telemetry"
 // draws, drop accounting, send/drop telemetry events) happens at
 // replay time.
 //
-// A nil *outbox on a Peer means "send inline": the async and
-// single-node drivers and the shards=1 lockstep engine keep the
+// A nil *outbox on a Peer means "send inline": the async loop (Drive's
+// async driver and RunNode) and the shards=1 lockstep engine keep the
 // pre-sharding path untouched.
 
 // outEntry is one deferred Send: the marshaled packet plus what the

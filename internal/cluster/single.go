@@ -5,86 +5,29 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/token"
 )
 
-// AddressedTransport is implemented by transports that route by an
-// address book (udpnet) rather than a node-indexed table, and can
-// therefore say which peers are reachable right now. RunSingle uses it
-// to gate peer sampling so emissions are not burned on peers whose
-// address is still unknown. Middleware decorators embed the Transport
-// interface and so hide this method; callers wrapping an addressed
-// transport in middlewares should pass SingleConfig.Known explicitly.
-type AddressedTransport interface {
-	Transport
-	// Known reports whether the transport can currently route to id.
-	Known(id int) bool
-}
-
-// SingleConfig parameterizes one node of a multi-process cluster run.
-// Unlike Config there is no driver to spawn peers: the other N-1 nodes
-// are separate processes reachable only through the Transport.
+// SingleConfig holds what one node of a multi-process run needs beyond
+// the run's own Config: there is no driver to spawn peers, so the
+// other N-1 nodes are separate processes reachable only through
+// Config.Transport. Every process must agree on the Config's N, Seed
+// and protocol parameters for dissemination to verify.
 type SingleConfig struct {
 	// ID is this node's id in [0, N).
 	ID int
-	// N is the cluster size; token i is seeded at node i mod N, so every
-	// process must agree on N and on the token set (derived from the
-	// shared seed) for dissemination to verify.
-	N int
-	// Fanout is the number of peers contacted per emission (default 2).
-	Fanout int
-	// Mode selects coded or store-and-forward gossip.
-	Mode Mode
-	// Seed derives the node's randomness with the same per-id stream
-	// derivation the in-process drivers use.
-	Seed int64
-	// Transport carries the packets (required). RunSingle does NOT close
-	// it: in the multi-process shape the transport is the process's
-	// socket, owned by the caller, and typically outlives the gossip run
-	// (the linger phase and metric scraping still use its counters).
-	Transport Transport
-	// Known optionally gates peer sampling on routability. Nil falls
-	// back to the Transport's own AddressedTransport.Known when it has
-	// one, else sampling is ungated.
+	// Known optionally gates peer sampling on routability: a transport
+	// with an address book (udpnet) may know fewer peers than the view
+	// believes live, and pushing to an unroutable peer only burns the
+	// emission. Nil leaves sampling ungated. Middlewares hide the
+	// socket's own method, so pass it explicitly (udpnet.Transport.Known).
 	Known func(id int) bool
-	// Interval paces ticker emissions (default 500µs; multi-hundred
-	// -process runs on few cores want this much larger).
-	Interval time.Duration
-	// Timeout caps the whole run including linger (default 30s).
-	Timeout time.Duration
 	// Linger keeps the node gossiping after its own completion so that
 	// slower peers still receive combinations — the multi-process
 	// equivalent of the in-process run ending only when every node is
 	// done (default 2s; the launcher usually kills lingering nodes once
 	// all have reported DONE).
 	Linger time.Duration
-	// Telemetry optionally traces this node's run (nil = disabled). In
-	// the multi-process shape each process records only its own id's
-	// ring; per-node storage stays lazily allocated for the rest of the
-	// id space.
-	Telemetry *telemetry.Recorder
-}
-
-func (c SingleConfig) fanout() int {
-	if c.Fanout > 0 {
-		return c.Fanout
-	}
-	return 2
-}
-
-func (c SingleConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 500 * time.Microsecond
-}
-
-func (c SingleConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
 }
 
 func (c SingleConfig) linger() time.Duration {
@@ -103,104 +46,55 @@ func (c SingleConfig) linger() time.Duration {
 // returns with Done == false and a nil error — the caller decides
 // whether an incomplete run is a failure. The returned error is
 // reserved for misconfiguration and verification failures.
-func RunSingle(ctx context.Context, cfg SingleConfig, toks []token.Token) (NodeMetrics, error) {
+func RunSingle(ctx context.Context, cfg Config, one SingleConfig, toks []token.Token) (NodeMetrics, error) {
 	var m NodeMetrics
 	if err := checkRun(cfg.N, cfg.Mode, toks); err != nil {
 		return m, err
 	}
-	if cfg.ID < 0 || cfg.ID >= cfg.N {
-		return m, fmt.Errorf("cluster: node id %d outside [0, %d)", cfg.ID, cfg.N)
-	}
-	if cfg.Transport == nil {
-		return m, fmt.Errorf("cluster: RunSingle needs a Transport (the process's socket)")
-	}
-
-	err := RunNode(ctx, cfg, func(p *Peer, _ bool) Node {
+	err := RunNode(ctx, cfg, one, func(p *Peer, _ bool) Node {
 		return newMember(p, cfg.Mode, toks, cfg.N, true, cfg.fanout(), &m)
 	})
 	return m, err
 }
 
 // RunNode is the single-node driver behind both RunSingle functions
-// (this package's and internal/stream's): it runs the one node spawn
-// builds over cfg.Transport, pacing Emit by cfg.Interval and Pushing
-// after every receipt that made progress, until the context ends, the
-// timeout expires, or the linger window after the node's own
-// completion runs out. The node is verified at its completion edge,
-// before lingering, so a corrupt decode fails loudly instead of
-// gossiping on; Err is checked after every step. Only cfg's ID, N,
-// Seed, Transport, Known, Interval, Timeout, Linger and Telemetry are
-// read.
-func RunNode(ctx context.Context, cfg SingleConfig, spawn func(p *Peer, joiner bool) Node) error {
+// (this package's and internal/stream's): it runs node one.ID, built by
+// spawn, on the async driver's node loop over cfg.Transport until the
+// context ends, cfg's timeout expires, or the linger window after the
+// node's own completion runs out. The node is verified at its
+// completion edge, before lingering, so a corrupt decode fails loudly
+// instead of gossiping on. A single-node run is async and churnless:
+// Lockstep, Shards > 1 and Churn are rejected. RunNode does NOT close
+// the transport: in the multi-process shape it is the process's
+// socket, owned by the caller, and typically outlives the gossip run
+// (metric scraping still uses its counters).
+func RunNode(ctx context.Context, cfg Config, one SingleConfig, spawn func(p *Peer, joiner bool) Node) error {
+	switch {
+	case one.ID < 0 || one.ID >= cfg.N:
+		return fmt.Errorf("cluster: node id %d outside [0, %d)", one.ID, cfg.N)
+	case cfg.Transport == nil:
+		return fmt.Errorf("cluster: a single-node run needs a Transport (the process's socket)")
+	case cfg.Lockstep || cfg.Shards > 1 || cfg.Churn != nil:
+		return fmt.Errorf("cluster: a single-node run is async and churnless (no Lockstep, Shards or Churn)")
+	}
 	// Every peer starts presumed-live: membership here is static (the
 	// launcher starts all N processes); what is dynamic is routability,
 	// which the known gate covers as the address book fills.
-	d := newDriver(Config{N: cfg.N, Seed: cfg.Seed, Transport: cfg.Transport, Telemetry: cfg.Telemetry}, spawn)
+	d := newDriver(cfg, spawn)
 	for i := range d.live {
 		d.live[i] = true
 	}
-	p, nd := d.add(cfg.ID, false, 0)
-	p.known = cfg.Known
-	if p.known == nil {
-		if at, ok := cfg.Transport.(AddressedTransport); ok {
-			p.known = at.Known
-		}
-	}
+	p, nd := d.add(one.ID, false, 0)
+	p.known = one.Known
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.timeout())
 	defer cancel()
-
-	start := time.Now()
-	var lingerC <-chan time.Time
-	// markDone reports completion, starting the linger window at the
-	// completion edge once the node verifies.
-	markDone := func() error {
-		if p.M.Done || !nd.Complete() {
-			return nil
-		}
-		p.M.Done = true
-		p.M.DoneAt = time.Since(start)
+	return d.loop(ctx, one.ID, time.Now(), false, nil, func(at time.Duration) error {
+		p.M.Done, p.M.DoneAt = true, at
 		if err := nd.Verify(); err != nil {
 			return err
 		}
-		lingerC = time.After(cfg.linger())
+		time.AfterFunc(one.linger(), cancel)
 		return nil
-	}
-
-	nd.Prime()
-	if err := nd.Err(); err != nil {
-		return err
-	}
-	if err := markDone(); err != nil { // n == 1, or this node seeded everything
-		return err
-	}
-	inbox := cfg.Transport.Recv(cfg.ID)
-	ticker := time.NewTicker(cfg.interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-lingerC:
-			return nil
-		case raw := <-inbox:
-			p.Now = int64(time.Since(start))
-			if p.recv(nd, raw) {
-				if err := nd.Err(); err != nil {
-					return err
-				}
-				if err := markDone(); err != nil {
-					return err
-				}
-				nd.Push()
-			}
-		case <-ticker.C:
-			p.Now = int64(time.Since(start))
-			p.sample(nd, false)
-			nd.Emit()
-			if err := nd.Err(); err != nil {
-				return err
-			}
-		}
-	}
+	})
 }

@@ -25,10 +25,9 @@ func TestRunSingleCrossProcessEquivalent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunSingle(context.Background(), SingleConfig{
-				ID: id, N: n, Seed: 21, Transport: tr,
-				Timeout: 20 * time.Second, Linger: 500 * time.Millisecond,
-			}, toks)
+			results[id], errs[id] = RunSingle(context.Background(), Config{
+				N: n, Seed: 21, Transport: tr, Timeout: 20 * time.Second,
+			}, SingleConfig{ID: id, Linger: 500 * time.Millisecond}, toks)
 		}(id)
 	}
 	wg.Wait()
@@ -58,10 +57,9 @@ func TestRunSingleForwardMode(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunSingle(context.Background(), SingleConfig{
-				ID: id, N: n, Mode: Forward, Seed: 9, Transport: tr,
-				Timeout: 20 * time.Second, Linger: 500 * time.Millisecond,
-			}, toks)
+			results[id], errs[id] = RunSingle(context.Background(), Config{
+				N: n, Mode: Forward, Seed: 9, Transport: tr, Timeout: 20 * time.Second,
+			}, SingleConfig{ID: id, Linger: 500 * time.Millisecond}, toks)
 		}(id)
 	}
 	wg.Wait()
@@ -82,19 +80,23 @@ func TestRunSingleValidation(t *testing.T) {
 	defer tr.Close()
 	cases := []struct {
 		name string
-		cfg  SingleConfig
+		cfg  Config
+		id   int
 	}{
-		{"no transport", SingleConfig{ID: 0, N: 2}},
-		{"id out of range", SingleConfig{ID: 2, N: 2, Transport: tr}},
-		{"negative id", SingleConfig{ID: -1, N: 2, Transport: tr}},
-		{"bad mode", SingleConfig{ID: 0, N: 2, Mode: 7, Transport: tr}},
+		{"no transport", Config{N: 2}, 0},
+		{"id out of range", Config{N: 2, Transport: tr}, 2},
+		{"negative id", Config{N: 2, Transport: tr}, -1},
+		{"bad mode", Config{N: 2, Mode: 7, Transport: tr}, 0},
+		{"lockstep", Config{N: 2, Transport: tr, Lockstep: true}, 0},
+		{"shards", Config{N: 2, Transport: tr, Shards: 2}, 0},
+		{"churn", Config{N: 2, Transport: tr, Churn: &ChurnSchedule{}}, 0},
 	}
 	for _, tc := range cases {
-		if _, err := RunSingle(context.Background(), tc.cfg, toks); err == nil {
+		if _, err := RunSingle(context.Background(), tc.cfg, SingleConfig{ID: tc.id}, toks); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
-	if _, err := RunSingle(context.Background(), SingleConfig{ID: 0, N: 2, Transport: tr}, nil); err == nil {
+	if _, err := RunSingle(context.Background(), Config{N: 2, Transport: tr}, SingleConfig{}, nil); err == nil {
 		t.Error("empty token set: no error")
 	}
 }
@@ -106,10 +108,10 @@ func TestRunSingleTimeoutIncomplete(t *testing.T) {
 	toks := testTokens(4, 16, 3)
 	tr := NewChanTransport(2, 4)
 	defer tr.Close()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 2, Seed: 1, Transport: tr,
+	m, err := RunSingle(context.Background(), Config{
+		N: 2, Seed: 1, Transport: tr,
 		Timeout: 50 * time.Millisecond, Interval: time.Millisecond,
-	}, toks)
+	}, SingleConfig{ID: 0}, toks)
 	if err != nil {
 		t.Fatalf("timeout run errored: %v", err)
 	}
@@ -125,11 +127,10 @@ func TestRunSingleKnownGate(t *testing.T) {
 	toks := testTokens(4, 16, 3)
 	tr := NewChanTransport(3, 4)
 	defer tr.Close()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 3, Seed: 1, Transport: tr,
-		Known:   func(id int) bool { return id == 0 },
+	m, err := RunSingle(context.Background(), Config{
+		N: 3, Seed: 1, Transport: tr,
 		Timeout: 50 * time.Millisecond, Interval: time.Millisecond,
-	}, toks)
+	}, SingleConfig{ID: 0, Known: func(id int) bool { return id == 0 }}, toks)
 	if err != nil {
 		t.Fatalf("gated run errored: %v", err)
 	}
@@ -147,10 +148,9 @@ func TestRunSingleLingersThenReturns(t *testing.T) {
 	tr := NewChanTransport(1, InboxBuffer(1, 2))
 	defer tr.Close()
 	start := time.Now()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 1, Seed: 1, Transport: tr,
-		Timeout: 10 * time.Second, Linger: linger,
-	}, toks)
+	m, err := RunSingle(context.Background(), Config{
+		N: 1, Seed: 1, Transport: tr, Timeout: 10 * time.Second,
+	}, SingleConfig{ID: 0, Linger: linger}, toks)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("lone node errored: %v", err)

@@ -28,11 +28,11 @@ func TestStreamRunSingleCrossProcess(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunSingle(context.Background(), SingleConfig{
-				ID: id, N: n, K: k, PayloadBits: d, Window: window,
+			results[id], errs[id] = RunSingle(context.Background(), Config{
+				N: n, K: k, PayloadBits: d, Window: window,
 				Generations: gens, Seed: 33, Transport: tr,
-				Timeout: 30 * time.Second, Linger: 500 * time.Millisecond,
-			})
+				Timeout: 30 * time.Second,
+			}, cluster.SingleConfig{ID: id, Linger: 500 * time.Millisecond})
 			delivered.Add(int64(results[id].Delivered))
 		}(id)
 	}
@@ -54,21 +54,23 @@ func TestStreamRunSingleCrossProcess(t *testing.T) {
 func TestStreamRunSingleValidation(t *testing.T) {
 	tr := cluster.NewChanTransport(2, 1)
 	defer tr.Close()
-	base := SingleConfig{ID: 0, N: 2, K: 2, PayloadBits: 8, Generations: 2, Transport: tr}
+	base := Config{N: 2, K: 2, PayloadBits: 8, Generations: 2, Transport: tr}
 	cases := []struct {
 		name string
-		mut  func(c SingleConfig) SingleConfig
+		mut  func(c Config) Config
+		id   int
 	}{
-		{"no transport", func(c SingleConfig) SingleConfig { c.Transport = nil; return c }},
-		{"id out of range", func(c SingleConfig) SingleConfig { c.ID = 2; return c }},
-		{"negative id", func(c SingleConfig) SingleConfig { c.ID = -1; return c }},
-		{"zero k", func(c SingleConfig) SingleConfig { c.K = 0; return c }},
-		{"zero payload", func(c SingleConfig) SingleConfig { c.PayloadBits = 0; return c }},
-		{"zero generations", func(c SingleConfig) SingleConfig { c.Generations = 0; return c }},
-		{"negative window", func(c SingleConfig) SingleConfig { c.Window = -1; return c }},
+		{"no transport", func(c Config) Config { c.Transport = nil; return c }, 0},
+		{"id out of range", func(c Config) Config { return c }, 2},
+		{"negative id", func(c Config) Config { return c }, -1},
+		{"zero k", func(c Config) Config { c.K = 0; return c }, 0},
+		{"zero payload", func(c Config) Config { c.PayloadBits = 0; return c }, 0},
+		{"zero generations", func(c Config) Config { c.Generations = 0; return c }, 0},
+		{"negative window", func(c Config) Config { c.Window = -1; return c }, 0},
+		{"lockstep", func(c Config) Config { c.Lockstep = true; return c }, 0},
 	}
 	for _, tc := range cases {
-		if _, err := RunSingle(context.Background(), tc.mut(base)); err == nil {
+		if _, err := RunSingle(context.Background(), tc.mut(base), cluster.SingleConfig{ID: tc.id}); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
@@ -82,10 +84,10 @@ func TestStreamRunSingleLingersThenReturns(t *testing.T) {
 	tr := cluster.NewChanTransport(1, InboxBuffer(1, 2))
 	defer tr.Close()
 	start := time.Now()
-	m, err := RunSingle(context.Background(), SingleConfig{
-		ID: 0, N: 1, K: 4, PayloadBits: 16, Generations: gens, Seed: 1,
-		Transport: tr, Timeout: 10 * time.Second, Linger: linger,
-	})
+	m, err := RunSingle(context.Background(), Config{
+		N: 1, K: 4, PayloadBits: 16, Generations: gens, Seed: 1,
+		Transport: tr, Timeout: 10 * time.Second,
+	}, cluster.SingleConfig{ID: 0, Linger: linger})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("lone node errored: %v", err)

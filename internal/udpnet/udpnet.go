@@ -131,9 +131,9 @@ func (s *stats) snapshot() Stats {
 }
 
 // Transport is one node's socket transport. It implements
-// cluster.Transport (and cluster.AddressedTransport via Known), so the
-// gossip runtimes and the fault-injection middlewares compose over it
-// exactly as over a ChanTransport.
+// cluster.Transport, so the gossip runtimes and the fault-injection
+// middlewares compose over it exactly as over a ChanTransport; its
+// Known method is the routability gate for cluster.SingleConfig.
 type Transport struct {
 	cfg  Config
 	conn *net.UDPConn
@@ -289,8 +289,8 @@ func (t *Transport) addrOf(id int) *net.UDPAddr {
 	return t.book[id]
 }
 
-// Known implements cluster.AddressedTransport: it reports whether the
-// book can route to id.
+// Known reports whether the book can route to id: pass it as
+// cluster.SingleConfig.Known so a node samples only routable peers.
 func (t *Transport) Known(id int) bool { return t.addrOf(id) != nil }
 
 // BookSize returns the number of known peers (including self).

@@ -14,9 +14,8 @@ import (
 
 // The socket transport must be a drop-in for the in-process ones.
 var (
-	_ cluster.Transport          = (*Transport)(nil)
-	_ cluster.AddressedTransport = (*Transport)(nil)
-	_ cluster.Transport          = (*Mesh)(nil)
+	_ cluster.Transport = (*Transport)(nil)
+	_ cluster.Transport = (*Mesh)(nil)
 )
 
 func testTokens(k, d int, seed int64) []token.Token {
@@ -218,11 +217,10 @@ func TestSingleNodesOverSockets(t *testing.T) {
 		go func(id int, tr *Transport) {
 			go tr.BootstrapLoop(ctx, 20*time.Millisecond)
 			_ = tr.WaitReady(ctx)
-			results[id], errs[id] = cluster.RunSingle(ctx, cluster.SingleConfig{
-				ID: id, N: n, Seed: 4, Transport: tr,
-				Interval: 2 * time.Millisecond,
-				Timeout:  15 * time.Second, Linger: time.Second,
-			}, toks)
+			results[id], errs[id] = cluster.RunSingle(ctx, cluster.Config{
+				N: n, Seed: 4, Transport: tr,
+				Interval: 2 * time.Millisecond, Timeout: 15 * time.Second,
+			}, cluster.SingleConfig{ID: id, Known: tr.Known, Linger: time.Second}, toks)
 			done <- id
 		}(id, tr)
 	}

@@ -69,6 +69,10 @@ fi
 # joined last, so linger scales with n.
 LINGER=$(( N > 256 ? 60 : 5 ))s
 
+# Each node pushes to two peers per emission, or to its only peer when
+# n=2 (cmd/node rejects a fanout that is not below -n).
+FANOUT=$(( N - 1 < 2 ? N - 1 : 2 ))
+
 echo "localnet: n=$N k=$K mode=$MODE interval=$INTERVAL outdir=$OUTDIR"
 if ((HOSTILE)); then echo "localnet: HOSTILE mode, mutate=$MUTATE"; fi
 mkdir -p "$OUTDIR"
@@ -86,7 +90,7 @@ BOOT="127.0.0.1:$BASEPORT"
 for ((id = 0; id < N; id++)); do
   args=(
     -id "$id" -n "$N" -addr "127.0.0.1:$((BASEPORT + id))"
-    -mode "$MODE" -k "$K" -payload "$PAYLOAD" -seed "$SEED"
+    -mode "$MODE" -k "$K" -payload "$PAYLOAD" -seed "$SEED" -fanout "$FANOUT"
     -generations "$GENERATIONS"
     -interval "$INTERVAL" -timeout "$TIMEOUT" -linger "$LINGER"
     -metrics "$OUTDIR/node$id.metrics"
