@@ -409,6 +409,10 @@ func (nd *node) bootstrap() {
 		nd.base = start
 	}
 	nd.bootstrapped = true
+	// A persisted span at the new watermark may have decoded out of
+	// order before the crash; being full, it takes no more innovative
+	// receipts, so only this call can deliver it.
+	nd.deliverReady()
 	nd.advance()
 }
 
